@@ -106,8 +106,17 @@ def cmd_dga(args) -> None:
 def cmd_fit(args) -> None:
     from .binning import fibonacci_bins
     from .heavytail import FAMILY_ORDER, select_candidates
+    values = []
     with open(args.values, encoding="utf-8") as fh:
-        data = np.array([float(line) for line in fh if line.strip()])
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise InputError(f"{args.values}:{lineno}: not a number: "
+                                 f"{line.strip()!r}") from None
+    data = np.array(values)
     families = (tuple(f.strip() for f in args.families.split(","))
                 if args.families else FAMILY_ORDER)
     cs = select_candidates(data, families=families, restarts=args.restarts)

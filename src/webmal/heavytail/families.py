@@ -48,6 +48,30 @@ def _upper_gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
     return np.exp(-x + s * np.log(x)) * h
 
 
+def _upper_gamma_cf_scalar(s: float, x: float) -> float:
+    """_upper_gamma_cf on one float, operation for operation."""
+    tiny = 1e-300
+    b = x + 1.0 - s
+    c = 1e300
+    d = 1.0 / b if b else math.inf  # numpy's 1/0
+    h = d
+    for i in range(1, 300):
+        an = -i * (i - s)
+        b = b + 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            break
+    return float(np.exp(-x + s * np.log(x)) * h)
+
+
 def _upper_gamma_small(s: float, x: np.ndarray) -> np.ndarray:
     """Gamma(s, x) for x < _CF_SWITCH: lift s above 0, then recurse back down.
 
@@ -75,10 +99,21 @@ def _upper_gamma_small(s: float, x: np.ndarray) -> np.ndarray:
 
 
 def upper_gamma(s: float, x) -> np.ndarray | float:
-    """Upper incomplete gamma Gamma(s, x) for real s and x > 0."""
+    """Upper incomplete gamma Gamma(s, x) for real s and x > 0.
+
+    A scalar x takes a float path that performs the array path's
+    operations in the same order, so both give the same bits; the tail
+    likelihood calls it once per evaluation, where numpy's per-call cost on
+    a 1-element array would dominate.
+    """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    if arr.ndim == 0:
+        if arr <= 0:
+            raise InvalidParams("upper_gamma needs x > 0")
+        if arr >= _CF_SWITCH:
+            return _upper_gamma_cf_scalar(s, float(arr))
+        # a 0-d array: ** then takes the same numpy path as on arrays
+        return float(_upper_gamma_small(s, arr))
     if np.any(arr <= 0):
         raise InvalidParams("upper_gamma needs x > 0")
     out = np.empty_like(arr)
@@ -87,7 +122,7 @@ def upper_gamma(s: float, x) -> np.ndarray | float:
         out[hi] = _upper_gamma_cf(s, arr[hi])
     if (~hi).any():
         out[~hi] = _upper_gamma_small(s, arr[~hi])
-    return float(out[0]) if scalar else out
+    return out
 
 
 def log_upper_gamma(s: float, x: float) -> float:

@@ -6,16 +6,24 @@ going to the smaller candidate. Families are compared on identical tails via
 the normalized log-likelihood ratio with the variance estimated from the
 per-point differences, and a family is eliminated only when a competitor
 beats it decisively (R < 0 with p below the significance level).
+
+The numeric fits use Nelder-Mead implemented in this module (`minimize`),
+which reproduces scipy's non-adaptive Nelder-Mead iterate for iterate and
+bit for bit. An x_min scan makes hundreds of thousands of objective calls
+on 1- and 2-parameter simplices, where scipy's per-iteration numpy work
+costs as much as the objective; on plain floats that overhead is gone and
+the fits, and every report built from them, stay the same.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import erfc
+from scipy.special import erfc, log_ndtr
 from scipy.stats import qmc
 
 from ..errors import (InvalidParams, NoValidCandidate, OptimizerFailure,
@@ -107,7 +115,6 @@ class _TailStats:
                     - lam * (s_b - n * xm ** b))
         if family in ("lognormal", "lognormal_positive"):
             mu, sigma = params["mu"], params["sigma"]
-            from scipy.special import log_ndtr
             z0 = (self.log_xmin - mu) / sigma
             quad = self.sum_log_sq - 2 * mu * self.sum_log + n * mu * mu
             return (-self.sum_log - n * math.log(sigma) - 0.5 * n * math.log(2 * math.pi)
@@ -115,8 +122,124 @@ class _TailStats:
         raise InvalidParams(f"unknown family {family!r}")
 
 
+@functools.lru_cache(maxsize=None)
 def _halton(dim: int, count: int) -> np.ndarray:
-    return qmc.Halton(d=dim, scramble=False).random(count)
+    """The first count points of the unscrambled Halton sequence; shared
+    between calls, so the array is read-only."""
+    table = qmc.Halton(d=dim, scramble=False).random(count)
+    table.setflags(write=False)
+    return table
+
+
+# scipy's non-adaptive Nelder-Mead coefficients and initial-simplex steps
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+
+
+class NelderMeadResult(NamedTuple):
+    x: list[float]
+    fun: float
+    nfev: int
+    nit: int
+
+
+class _MaxFev(Exception):
+    pass
+
+
+def minimize(fun: Callable[[list[float]], float], x0, *, xatol: float = 1e-8,
+             fatol: float = 1e-6, maxiter: int = 2000,
+             maxfev: int = 4000) -> NelderMeadResult:
+    """Nelder-Mead (1965) on plain float lists, iterate for iterate scipy's.
+
+    A port of scipy.optimize.minimize(method="Nelder-Mead") without bounds
+    or adaptive coefficients: the same initial simplex, the same arithmetic
+    in the same order, the same stable sort of the vertices, the same
+    xatol/fatol test and the same maxiter/maxfev cut-off, where the call
+    that would exceed maxfev is not made. x and fun therefore match scipy's
+    bit for bit, and so do nfev and nit. The defaults are the tail fits'
+    options.
+
+    fun receives a vertex as a list, which it must not modify, and returns
+    a float that is never NaN (inf marks an infeasible point).
+    """
+    n = len(x0)
+    x0 = [float(v) for v in x0]
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    nfev = 0
+
+    def f(x: list[float]) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFev
+        nfev += 1
+        return fun(x)
+
+    def sort() -> None:
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFev:
+        pass
+    sort()
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            best, fbest = sim[0], fsim[0]
+            if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
+                    and all(abs(fbest - fv) <= fatol for fv in fsim[1:])):
+                break
+            xbar = []
+            for k in range(n):
+                acc = 0.0  # numpy's add.reduce starts from +0.0 too
+                for x in sim[:-1]:
+                    acc = acc + x[k]
+                xbar.append(acc / n)
+            worst = sim[-1]
+            xr = [(1 + _RHO) * b - _RHO * w for b, w in zip(xbar, worst)]
+            fxr = f(xr)
+            doshrink = False
+            if fxr < fsim[0]:
+                xe = [(1 + _RHO * _CHI) * b - _RHO * _CHI * w for b, w in zip(xbar, worst)]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:  # outside contraction
+                xc = [(1 + _PSI * _RHO) * b - _PSI * _RHO * w for b, w in zip(xbar, worst)]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:  # inside contraction
+                xcc = [(1 - _PSI) * b + _PSI * w for b, w in zip(xbar, worst)]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                for j in range(1, n + 1):
+                    sim[j] = [b + _SIGMA * (v - b) for b, v in zip(sim[0], sim[j])]
+                    fsim[j] = f(sim[j])
+            nit += 1
+        except _MaxFev:
+            pass
+        sort()
+    return NelderMeadResult(sim[0], fsim[0], nfev, nit)
 
 
 class _Boxes:
@@ -208,7 +331,7 @@ def _numeric_mle(stats: _TailStats, family: str, restarts: int,
 
     def objective(t):
         try:
-            p = decode(list(t))
+            p = decode(t)
         except (OverflowError, ValueError):
             return np.inf
         if not bounds_ok(p):
@@ -221,16 +344,14 @@ def _numeric_mle(stats: _TailStats, family: str, restarts: int,
 
     best_params, best_ll = None, -np.inf
     for t0 in starts[: restarts + 2]:
-        if not np.all(np.isfinite(objective(t0) * 0 + 1)):
+        if not math.isfinite(objective(t0)):
             continue
-        res = minimize(objective, np.asarray(t0, dtype=float), method="Nelder-Mead",
-                       options={"xatol": 1e-8, "fatol": 1e-6, "maxiter": 2000,
-                                "maxfev": 4000})
+        res = minimize(objective, t0)
         if not math.isfinite(res.fun):
             continue
         if -res.fun > best_ll:
             best_ll = -res.fun
-            best_params = decode(list(res.x))
+            best_params = decode(res.x)
     if best_params is None:
         raise OptimizerFailure(f"no start converged for {family}")
     return best_params, best_ll

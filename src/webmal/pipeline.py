@@ -428,11 +428,20 @@ def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> Ru
         except (OSError, json.JSONDecodeError):
             pass  # unreadable manifest: rebuild everything
 
+    # one stage's outputs are the next one's inputs: hash each file once,
+    # and again only after a stage rewrites it
+    hashes: dict[str, str] = {}
+
+    def sha(path: str) -> str:
+        if path not in hashes:
+            hashes[path] = file_sha256(path)
+        return hashes[path]
+
     executed: list[str] = []
     skipped: list[str] = []
     for stage in STAGES:
         input_paths = stage.inputs(cfg, paths)
-        in_hashes = {f"{i}:{os.path.basename(p)}": file_sha256(p)
+        in_hashes = {f"{i}:{os.path.basename(p)}": sha(p)
                      for i, p in enumerate(input_paths)}
         stage_cfg = _cumulative_config(cfg, stage)
         entry = manifest["stages"].get(stage.name)
@@ -442,6 +451,7 @@ def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> Ru
             and entry.get("inputs") == in_hashes
             and entry.get("config") == stage_cfg
             and all(os.path.exists(paths[name]) for name in stage.outputs)
+            and entry.get("outputs") == {name: sha(paths[name]) for name in stage.outputs}
         )
         if up_to_date:
             skipped.append(stage.name)
@@ -456,11 +466,13 @@ def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> Ru
                                               "config": stage_cfg}
             _write_json(manifest, manifest_path)
             raise type(exc)(f"stage {stage.name}: {exc}") from exc
+        for name in stage.outputs:
+            hashes.pop(paths[name], None)
         manifest["stages"][stage.name] = {
             "status": "done",
             "inputs": in_hashes,
             "config": stage_cfg,
-            "outputs": {name: file_sha256(paths[name]) for name in stage.outputs},
+            "outputs": {name: sha(paths[name]) for name in stage.outputs},
         }
         executed.append(stage.name)
         if log:

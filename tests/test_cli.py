@@ -122,6 +122,15 @@ def test_fit_command(tmp_path):
     assert "histogram" in payload
 
 
+def test_fit_malformed_value_is_input_error(tmp_path, capsys):
+    path = tmp_path / "values.txt"
+    path.write_text("3\n\n5\nabc\n7\n")
+    rc = main(["fit", "--values", str(path), "--out", str(tmp_path / "fit.json")])
+    assert rc == 1
+    assert f"input error: {path}:4: not a number: 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_exit_codes(tmp_path, corpus):
     # input error: malformed verdict table
     bad = tmp_path / "bad_verdicts.tsv"

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize as scipy_minimize
 
 from webmal.errors import InvalidParams, TooFewPoints
 from webmal.heavytail import (FAMILY_ORDER, CandidateSet, compare, estimate_xmin,
                               ks_distance, make_distribution, mle_fit,
                               select_candidates, upper_gamma)
+from webmal.heavytail.families import _CF_SWITCH
+from webmal.heavytail.fitting import minimize
 from webmal.synthlab import sample
 
 # reference values computed with 30-digit arbitrary-precision arithmetic
@@ -44,10 +47,16 @@ def test_upper_gamma_reference(s, x, ref):
 
 
 def test_upper_gamma_vectorized_matches_scalar():
-    xs = np.array([1e-6, 0.01, 0.5, 3.9, 4.0, 12.0, 80.0])
-    vec = upper_gamma(-0.71, xs)
-    for x, v in zip(xs, vec):
-        assert v == pytest.approx(upper_gamma(-0.71, float(x)), rel=1e-12)
+    # the scalar path repeats the array path's operations, so it must give
+    # the bits of a 1-element array; a longer array keeps iterating its
+    # continued fraction until every element converges, hence approx there
+    xs = np.array([1e-6, 0.01, 0.5, 3.9, _CF_SWITCH, 12.0, 80.0])
+    for s in (-3.5, -2.0, -1.0, -0.71, -0.5, 0.0, 1e-13, 0.5, 2.5):
+        vec = upper_gamma(s, xs)
+        for x, v in zip(xs, vec):
+            scalar = upper_gamma(s, float(x))
+            assert scalar == upper_gamma(s, np.array([x]))[0]
+            assert v == pytest.approx(scalar, rel=1e-12)
 
 
 def test_upper_gamma_rejects_nonpositive_x():
@@ -112,6 +121,42 @@ def test_invalid_params_rejected():
 
 
 # maximum likelihood
+
+
+def _smooth_1d(t):
+    return math.cosh(t[0] - 0.4) + 0.1 * t[0] ** 4
+
+
+def _rosenbrock(t):
+    return 100.0 * (t[1] - t[0] ** 2) ** 2 + (1.0 - t[0]) ** 2
+
+
+def _walled(t):
+    return math.inf if t[0] > 0.7 else _rosenbrock(t)
+
+
+NM_OPTIONS = {"xatol": 1e-8, "fatol": 1e-6, "maxiter": 2000, "maxfev": 4000}
+
+
+@pytest.mark.parametrize("fun,x0,options", [
+    (_smooth_1d, [2.5], NM_OPTIONS),
+    (_rosenbrock, [-1.2, 1.0], NM_OPTIONS),
+    (_rosenbrock, [0.0, 0.5], NM_OPTIONS),          # zero coordinate: step 0.00025
+    (_walled, [-0.8, 0.3], NM_OPTIONS),             # inf beyond t[0] = 0.7
+    (_rosenbrock, [-1.2, 1.0], dict(NM_OPTIONS, maxfev=18)),  # cut mid-iteration
+    (_rosenbrock, [-1.2, 1.0], dict(NM_OPTIONS, maxiter=9)),
+], ids=["smooth-1d", "smooth-2d", "zero-start", "inf-region", "maxfev", "maxiter"])
+def test_nelder_mead_reproduces_scipy(fun, x0, options):
+    ref = scipy_minimize(fun, np.asarray(x0, dtype=float), method="Nelder-Mead",
+                         options=options)
+    got = minimize(fun, x0, **options)
+    assert np.asarray(got.x, dtype=float).tobytes() == ref.x.tobytes()
+    assert np.float64(got.fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert (got.nfev, got.nit) == (ref.nfev, ref.nit)
+    if "maxfev" in options and options["maxfev"] < 4000:
+        assert got.nfev == options["maxfev"]
+    if options["maxiter"] < 2000:
+        assert got.nit == options["maxiter"]
 
 
 def test_power_law_closed_form():

@@ -72,6 +72,21 @@ def test_rerun_skips_everything(tmp_path, corpus_dir):
     assert file_sha256(os.path.join(cfg.out_dir, "manifest.json")) == manifest_before
 
 
+def test_damaged_output_reruns_its_stage(tmp_path, corpus_dir):
+    cfg = make_config(corpus_dir, str(tmp_path / "run"))
+    run_pipeline(cfg)
+    before = report_hashes(cfg.out_dir)
+    metrics = os.path.join(cfg.out_dir, "metrics.tsv")
+    with open(metrics, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    with open(metrics, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[: len(lines) // 2])
+    res = run_pipeline(cfg)
+    # the rewritten table is the original again, so nothing downstream reruns
+    assert res.executed == ["metrics"]
+    assert report_hashes(cfg.out_dir) == before
+
+
 def test_tau_change_reruns_reputation_and_downstream(tmp_path, corpus_dir):
     cfg = make_config(corpus_dir, str(tmp_path / "run"))
     run_pipeline(cfg)
