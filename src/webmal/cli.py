@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-One subcommand per pipeline stage plus `synth` (corpus generation) and `run`
+One subcommand per pipeline stage, each a call of the stage function in
+`pipeline` that `run` uses too, plus `synth` (corpus generation) and `run`
 (the full staged pipeline with a manifest). Exit codes: 0 ok, 1 bad input,
 2 numerical failure, 3 bad configuration.
 """
@@ -8,7 +9,6 @@ One subcommand per pipeline stage plus `synth` (corpus generation) and `run`
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -60,152 +60,84 @@ def cmd_run(args) -> None:
 
 
 def cmd_build_graph(args) -> None:
-    from .graph import build_from_file, write_graph
-    from .psl import load_psl
-    rules = load_psl(args.psl)
-    g = build_from_file(args.edges, rules, strict=args.strict)
-    write_graph(g, args.out_nodes, args.out_edges)
+    from .pipeline import build_graph
+    g = build_graph(args.edges, args.psl, args.out_nodes, args.out_edges,
+                    strict=args.strict)
     print(f"graph: {g.n_nodes} PLDs, {g.n_edges} edges "
           f"({g.skipped_rows} rows skipped)")
 
 
 def cmd_metrics(args) -> None:
-    from .graph import read_graph
-    from .metrics import compute_node_metrics, write_metrics
-    g = read_graph(args.nodes, args.edges)
-    m = compute_node_metrics(g, damping=args.damping)
-    write_metrics(m, args.out)
-    print(f"metrics for {g.n_nodes} PLDs -> {args.out}")
+    from .pipeline import node_metrics
+    m = node_metrics(args.nodes, args.edges, args.out, damping=args.damping)
+    print(f"metrics for {len(m.plds)} PLDs -> {args.out}")
 
 
 def cmd_score(args) -> None:
-    from .reputation import (read_observations, read_verdicts, score_plds,
-                             write_reputation)
-    verdicts = read_verdicts(args.verdicts)
-    profiles = read_observations(args.observations)
-    rows = score_plds(profiles, verdicts, tau=args.tau)
-    write_reputation(rows, args.out)
+    from .pipeline import score_reputation
+    rows = score_reputation(args.verdicts, args.observations, args.out,
+                            tau=args.tau)
     n_mal = sum(r.dichotomy == "malicious" for r in rows)
     print(f"{len(rows)} PLDs scored, {n_mal} malicious -> {args.out}")
 
 
 def cmd_dga(args) -> None:
-    from .dga import (classify_dga, load_default_table, read_table,
-                      score_pld_name)
-    table = read_table(args.table) if args.table else load_default_table()
+    from .dga import read_table
+    from .pipeline import score_names
+    table = read_table(args.table) if args.table else None
     with open(args.names, encoding="utf-8") as fh:
         names = [line.strip() for line in fh if line.strip()]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("pld\tscore\tverdict\n")
-        for name in names:
-            s = score_pld_name(name, table)
-            fh.write(f"{name}\t{s!r}\t{classify_dga(s)}\n")
+    score_names(names, args.out, table=table)
     print(f"{len(names)} names scored -> {args.out}")
 
 
 def cmd_fit(args) -> None:
-    from .binning import fibonacci_bins
-    from .heavytail import FAMILY_ORDER, select_candidates
-    values = []
+    from .errors import parse_float
+    from .heavytail import FAMILY_ORDER
+    from .pipeline import fit_values, write_json
     with open(args.values, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise InputError(f"{args.values}:{lineno}: not a number: "
-                                 f"{line.strip()!r}") from None
-    data = np.array(values)
+        values = [parse_float(line, f"{args.values}:{lineno}")
+                  for lineno, line in enumerate(fh, 1) if line.strip()]
     families = (tuple(f.strip() for f in args.families.split(","))
                 if args.families else FAMILY_ORDER)
-    cs = select_candidates(data, families=families, restarts=args.restarts)
-    payload = {
-        "n": int(len(data)),
-        "selection": cs.selection,
-        "flag": cs.selection_flag,
-        "candidates": list(cs.candidates),
-        "eliminated_by": {k: list(v) for k, v in cs.eliminated_by.items()},
-        "fits": {fam: {"params": fr.params, "x_min": fr.x_min, "D": fr.D,
-                       "loglik": fr.loglik, "n_tail": fr.n_tail}
-                 for fam, fr in cs.fits.items() if fr is not None},
-    }
-    try:
-        payload["histogram"] = fibonacci_bins(data).to_dict()
-    except WebmalError:
-        pass  # non-integer data: no binned summary
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    print(f"selection: {cs.selection} ({cs.selection_flag}) -> {args.out}")
+    payload = fit_values(np.array(values), families=families,
+                         restarts=args.restarts)
+    write_json(payload, args.out)
+    print(f"selection: {payload['selection']} ({payload['flag']}) -> {args.out}")
 
 
 def cmd_cooccur(args) -> None:
-    from .mdn import (build_cooccurrence, components_to_json, extract_mdns,
-                      write_cooccurrence)
-    from .reputation import (malicious_file_sets, read_observations,
-                             read_verdicts)
-    verdicts = read_verdicts(args.verdicts)
-    profiles = read_observations(args.observations)
-    sets = malicious_file_sets(profiles, verdicts, tau=args.tau)
-    if not sets:
-        open(args.out_edges, "w").close()
-        open(args.out_sets, "w").close()
-        if args.mdn_out:
-            with open(args.mdn_out, "w", encoding="utf-8") as fh:
-                fh.write("[]\n")
-        print("no malicious PLDs: empty co-occurrence graph")
-        return
-    g = build_cooccurrence(sets)
-    write_cooccurrence(g, args.out_edges, args.out_sets)
+    from .pipeline import build_cooccur, mdn_components, write_json
+    g = build_cooccur(args.verdicts, args.observations, args.out_edges,
+                      args.out_sets, tau=args.tau)
     msg = f"{g.n_nodes} nodes, {g.n_edges} edges"
     if args.mdn_out:
-        comps = extract_mdns(g)
-        with open(args.mdn_out, "w", encoding="utf-8") as fh:
-            fh.write(components_to_json(comps))
+        comps = mdn_components(g)
+        write_json(comps, args.mdn_out)
         msg += f", {len(comps)} components"
-    print(msg)
+    print(msg if g.n_nodes else "no malicious PLDs: empty co-occurrence graph")
 
 
 def cmd_features(args) -> None:
-    from .metrics import read_metrics
-    from .predict import assemble_features, read_alexa, write_features
-    from .pipeline import _read_dga_scores
-    from .reputation import read_reputation
-    mrows = read_metrics(args.metrics)
-    reps = read_reputation(args.reputation)
-    dga_scores = _read_dga_scores(args.dga)
-    alexa = read_alexa(args.alexa) if args.alexa else {}
-    fm = assemble_features(mrows, reps, dga_scores, alexa, args.feature_set)
-    write_features(fm, args.out)
+    from .pipeline import assemble_feature_table
+    fm = assemble_feature_table(args.metrics, args.reputation, args.dga,
+                                args.out, alexa=args.alexa,
+                                feature_set=args.feature_set)
     print(f"{len(fm.plds)} rows x {len(fm.feature_names)} features -> {args.out}")
 
 
 def cmd_train(args) -> None:
-    from .graph import read_graph
-    from .predict import (feature_importance, read_features,
-                          run_stacked_experiment, write_model)
-    fm = read_features(args.features)
-    g = read_graph(args.nodes, args.edges)
-    res = run_stacked_experiment(fm, g, seed=args.seed, l2=args.l2,
-                                 threshold=args.threshold, epochs=args.epochs)
-    write_model(res.base_model, args.out_model)
-    write_model(res.stacked_model, args.out_stacked)
-    payload = {
-        "base": res.base_report.to_dict(),
-        "stacked": res.stacked_report.to_dict(),
-        "importance_base": [[n, w] for n, w in feature_importance(res.base_model)],
-        "importance_stacked": [[n, w] for n, w in
-                               feature_importance(res.stacked_model)],
-    }
-    with open(args.out_eval, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    from .pipeline import train_classifiers, write_json
+    res, payload = train_classifiers(
+        args.features, args.nodes, args.edges, args.out_model, args.out_stacked,
+        seed=args.seed, l2=args.l2, threshold=args.threshold, epochs=args.epochs)
+    write_json(payload, args.out_eval)
     print(f"AUC base {res.base_report.auc:.4f}, "
           f"stacked {res.stacked_report.auc:.4f} -> {args.out_eval}")
 
 
 def cmd_evaluate(args) -> None:
+    from .pipeline import write_json
     from .predict import evaluate, predict_proba, read_features, read_model
     model = read_model(args.model)
     fm = read_features(args.features)
@@ -215,9 +147,7 @@ def cmd_evaluate(args) -> None:
         raise InputError("feature table lacks columns the model requires")
     probs = predict_proba(model, fm.X[:, cols])
     rep = evaluate(fm.labels, probs, threshold=args.threshold)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(rep.to_dict(), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(rep.to_dict(), args.out)
     print(f"AUC {rep.auc:.4f} F1 {rep.f1:.4f} -> {args.out}")
 
 

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyCorpus, InputError, UntrainedTable
+from .errors import EmptyCorpus, InputError, UntrainedTable, parse_float
 
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 DEFAULT_SMOOTHING = 1e-3
@@ -166,6 +166,26 @@ def read_table(path: str) -> FreqTable:
     with open(path) as fh:
         payload = json.load(fh)
     return _table_from_payload(payload, path)
+
+
+def write_dga_scores(scores: Iterable[tuple[str, float]], path: str) -> None:
+    """dga.tsv: one (pld, score, verdict) row per name, under a header."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("pld\tscore\tverdict\n")
+        for name, s in scores:
+            fh.write(f"{name}\t{s!r}\t{classify_dga(s)}\n")
+
+
+def read_dga_scores(path: str) -> dict[str, float]:
+    """pld -> score from a dga.tsv written by write_dga_scores."""
+    out = {}
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, 2):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) >= 2:
+                out[parts[0]] = parse_float(parts[1], f"{path}:{lineno}")
+    return out
 
 
 @lru_cache(maxsize=1)

@@ -13,6 +13,14 @@ class InputError(WebmalError):
     """Malformed or insufficient input data."""
 
 
+def parse_float(text: str, where: str) -> float:
+    """float(text); a non-number raises InputError naming `where` (path:lineno)."""
+    try:
+        return float(text)
+    except ValueError:
+        raise InputError(f"{where}: not a number: {text.strip()!r}") from None
+
+
 class NumericalError(WebmalError):
     """A numerical routine failed to produce a usable result."""
 

@@ -31,7 +31,7 @@ def _upper_gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
     tiny = 1e-300
     b = x + 1.0 - s
     c = np.full_like(x, 1e300)
-    d = 1.0 / b
+    d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
     h = d.copy()
     for i in range(1, 300):
         an = -i * (i - s)
@@ -53,7 +53,7 @@ def _upper_gamma_cf_scalar(s: float, x: float) -> float:
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1e300
-    d = 1.0 / b if b else math.inf  # numpy's 1/0
+    d = 1.0 / (tiny if abs(b) < tiny else b)
     h = d
     for i in range(1, 300):
         an = -i * (i - s)

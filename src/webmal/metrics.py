@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cs_components
 
+from .errors import parse_float
 from .graph import PldGraph
 
 log = logging.getLogger(__name__)
@@ -171,27 +172,21 @@ def triangle_counts(g: PldGraph) -> np.ndarray:
     return tri
 
 
-def connected_components(g: PldGraph, mode: str = "weak") -> np.ndarray:
-    """Component ids, dense 0..k-1, ordered by decreasing size then smallest
-    member id. Directed edges are treated as undirected in both modes."""
-    if mode not in ("weak", "undirected"):
-        raise ValueError(f"unknown mode {mode!r}")
+def connected_components(g: PldGraph) -> np.ndarray:
+    """Weak component ids, dense 0..k-1, ordered by decreasing size then
+    smallest member id."""
     A = g.adjacency()
     _, raw = _cs_components(A, directed=True, connection="weak")
     return _relabel_components(raw)
 
 
 def _relabel_components(raw: np.ndarray) -> np.ndarray:
-    k = int(raw.max()) + 1 if len(raw) else 0
-    sizes = np.bincount(raw, minlength=k)
-    first_member = np.full(k, len(raw), dtype=np.int64)
-    for i, c in enumerate(raw.tolist()):
-        if first_member[c] == len(raw):
-            first_member[c] = i
-    order = sorted(range(k), key=lambda c: (-sizes[c], first_member[c]))
+    # scipy's labels are dense 0..k-1: unique() gives each label's first member
+    first_member = np.unique(raw, return_index=True)[1]
+    k = len(first_member)
+    order = np.lexsort((first_member, -np.bincount(raw, minlength=k)))
     remap = np.empty(k, dtype=np.int64)
-    for new_id, old_id in enumerate(order):
-        remap[old_id] = new_id
+    remap[order] = np.arange(k)
     return remap[raw]
 
 
@@ -231,8 +226,9 @@ def read_metrics(path: str) -> dict[str, dict[str, float]]:
     out: dict[str, dict[str, float]] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             parts = line.rstrip("\n").split("\t")
-            row = dict(zip(header[1:], (float(x) for x in parts[1:])))
-            out[parts[0]] = row
+            where = f"{path}:{lineno}"
+            out[parts[0]] = {k: parse_float(x, where)
+                             for k, x in zip(header[1:], parts[1:])}
     return out

@@ -17,31 +17,34 @@ import concurrent.futures
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from .binning import fibonacci_bins
-from .dga import classify_dga, load_default_table, score_pld_name
-from .errors import ConfigError, EmptyInput, WebmalError
-from .graph import build_from_file, read_graph, write_graph
-from .heavytail import select_candidates
-from .mdn import build_cooccurrence, components_to_json, extract_mdns, write_cooccurrence
-from .predict import (assemble_features, feature_importance, read_alexa,
-                      read_features, run_stacked_experiment, write_features,
-                      write_model)
+from .dga import (FreqTable, load_default_table, read_dga_scores,
+                  score_pld_name, write_dga_scores)
+from .errors import ConfigError, WebmalError
+from .graph import PldGraph, build_from_file, read_graph, write_graph
+from .heavytail import FAMILY_ORDER, select_candidates
+from .mdn import (CooccurrenceGraph, build_cooccurrence, extract_mdns,
+                  read_cooccurrence, write_cooccurrence)
+from .metrics import NodeMetrics, compute_node_metrics, read_metrics, write_metrics
+from .predict import (FEATURE_SETS, METRIC_COLUMNS, ExperimentResult,
+                      FeatureMatrix, assemble_features, feature_importance,
+                      read_alexa, read_features, run_stacked_experiment,
+                      write_features, write_model)
 from .psl import load_psl
-from .reputation import (malicious_file_sets, read_observations,
+from .reputation import (PldReputation, malicious_file_sets, read_observations,
                          read_reputation, read_verdicts, score_plds,
                          write_reputation)
 
 WORKERS_ENV = "WEBMAL_WORKERS"
 
-# metrics-table column behind each fittable feature name
-FIT_COLUMNS = {"num_pages": "pages", "indegree": "indeg", "outdeg": "outdeg",
-               "outdegree": "outdeg", "total_degree": "total",
-               "triangles": "triangles"}
+# metrics-table column behind each fittable (count) feature name
+FIT_COLUMNS = {f: METRIC_COLUMNS[f] for f in
+               ("num_pages", "indegree", "outdegree", "total_degree", "triangles")}
 
 
 def _env_workers() -> int:
@@ -103,7 +106,6 @@ class RunConfig:
             raise ConfigError("damping must be in (0,1)")
         if not (0.0 <= self.threshold <= 1.0):
             raise ConfigError("threshold must be in [0,1]")
-        from .predict import FEATURE_SETS
         if self.feature_set not in FEATURE_SETS:
             raise ConfigError(f"unknown feature set {self.feature_set!r}")
         bad = [f for f in self.fit_features if f not in FIT_COLUMNS]
@@ -167,7 +169,9 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_json(payload: dict, path: str) -> None:
+def write_json(payload, path: str) -> None:
+    """Compact JSON with sorted keys and a trailing newline: the byte format
+    of every JSON report."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
@@ -192,51 +196,137 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# stage bodies; `paths` maps output names -> absolute paths for the run dir
+# stage bodies: `webmal run` reaches them through the (cfg, paths) adapters
+# below, each single-stage subcommand calls them directly
+
+def build_graph(edges: str, psl: str, nodes_out: str, edges_out: str, *,
+                strict: bool = False) -> PldGraph:
+    g = build_from_file(edges, load_psl(psl), strict=strict)
+    write_graph(g, nodes_out, edges_out)
+    return g
+
+
+def node_metrics(nodes: str, edges: str, out: str, *, damping: float = 0.85,
+                 pagerank_max_iter: int = 100,
+                 hits_max_iter: int = 1000) -> NodeMetrics:
+    m = compute_node_metrics(read_graph(nodes, edges), damping=damping,
+                             pagerank_max_iter=pagerank_max_iter,
+                             hits_max_iter=hits_max_iter)
+    write_metrics(m, out)
+    return m
+
+
+def score_reputation(verdicts: str, observations: str, out: str, *,
+                     tau: float = 0.0) -> list[PldReputation]:
+    verdict_matrix = read_verdicts(verdicts)
+    rows = score_plds(read_observations(observations), verdict_matrix, tau=tau)
+    write_reputation(rows, out)
+    return rows
+
+
+def score_names(names: list[str], out: str, *,
+                table: FreqTable | None = None) -> None:
+    table = load_default_table() if table is None else table
+    write_dga_scores(((name, score_pld_name(name, table)) for name in names), out)
+
+
+def _histogram(data: np.ndarray) -> dict:
+    try:
+        return fibonacci_bins(data).to_dict()
+    except WebmalError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def fit_values(data: np.ndarray, *, restarts: int, min_points: int = 50,
+               families: tuple[str, ...] = FAMILY_ORDER) -> dict:
+    """Tail-family selection and Fibonacci histogram of one value list.
+
+    Raises the selection's WebmalError; a histogram that cannot be binned
+    (non-integer data) is recorded as {"error": ...} instead.
+    """
+    cs = select_candidates(data, families=families, restarts=restarts,
+                           min_points=min_points)
+    return {
+        "n": int(len(data)),
+        "selection": cs.selection,
+        "flag": cs.selection_flag,
+        "candidates": list(cs.candidates),
+        "eliminated_by": {k: list(v) for k, v in cs.eliminated_by.items()},
+        "fits": {fam: {"params": fr.params, "x_min": fr.x_min, "D": fr.D,
+                       "loglik": fr.loglik, "n_tail": fr.n_tail}
+                 for fam, fr in cs.fits.items() if fr is not None},
+        "histogram": _histogram(data),
+    }
+
+
+def build_cooccur(verdicts: str, observations: str, edges_out: str,
+                  sets_out: str, *, tau: float = 0.0) -> CooccurrenceGraph:
+    """Co-occurrence graph of the malicious PLDs; empty files if there are none."""
+    verdict_matrix = read_verdicts(verdicts)
+    sets = malicious_file_sets(read_observations(observations), verdict_matrix,
+                               tau=tau)
+    g = build_cooccurrence(sets)
+    write_cooccurrence(g, edges_out, sets_out)
+    return g
+
+
+def mdn_components(g: CooccurrenceGraph) -> list[dict]:
+    return [asdict(c) for c in extract_mdns(g)]
+
+
+def assemble_feature_table(metrics: str, reputation: str, dga: str, out: str, *,
+                           alexa: str | None = None,
+                           feature_set: str = "all") -> FeatureMatrix:
+    fm = assemble_features(read_metrics(metrics), read_reputation(reputation),
+                           read_dga_scores(dga),
+                           read_alexa(alexa) if alexa else {}, feature_set)
+    write_features(fm, out)
+    return fm
+
+
+def train_classifiers(features: str, nodes: str, edges: str, model_out: str,
+                      stacked_out: str, *, seed: int, l2: float,
+                      threshold: float, epochs: int) -> tuple[ExperimentResult, dict]:
+    """Write both models; return the experiment and its eval.json payload."""
+    fm = read_features(features)
+    res = run_stacked_experiment(fm, read_graph(nodes, edges), seed=seed, l2=l2,
+                                 threshold=threshold, epochs=epochs)
+    write_model(res.base_model, model_out)
+    write_model(res.stacked_model, stacked_out)
+    return res, {
+        "base": res.base_report.to_dict(),
+        "stacked": res.stacked_report.to_dict(),
+        "importance_base": [[n, w] for n, w in feature_importance(res.base_model)],
+        "importance_stacked": [[n, w] for n, w in
+                               feature_importance(res.stacked_model)],
+    }
+
+
+# ---------------------------------------------------------------------------
+# (cfg, paths) adapters; `paths` maps output names -> absolute paths
 
 def _stage_build_graph(cfg: RunConfig, paths: dict) -> None:
-    rules = load_psl(cfg.psl)
-    g = build_from_file(cfg.edges, rules, strict=cfg.strict_hosts)
-    write_graph(g, paths["graph_nodes.tsv"], paths["graph_edges.tsv"])
+    build_graph(cfg.edges, cfg.psl, paths["graph_nodes.tsv"],
+                paths["graph_edges.tsv"], strict=cfg.strict_hosts)
 
 
 def _stage_metrics(cfg: RunConfig, paths: dict) -> None:
-    from .metrics import compute_node_metrics, write_metrics
-    g = read_graph(paths["graph_nodes.tsv"], paths["graph_edges.tsv"])
-    m = compute_node_metrics(g, damping=cfg.damping,
-                             pagerank_max_iter=cfg.pagerank_max_iter,
-                             hits_max_iter=cfg.hits_max_iter)
-    write_metrics(m, paths["metrics.tsv"])
+    node_metrics(paths["graph_nodes.tsv"], paths["graph_edges.tsv"],
+                 paths["metrics.tsv"], damping=cfg.damping,
+                 pagerank_max_iter=cfg.pagerank_max_iter,
+                 hits_max_iter=cfg.hits_max_iter)
 
 
 def _stage_reputation(cfg: RunConfig, paths: dict) -> None:
-    verdicts = read_verdicts(cfg.verdicts)
-    profiles = read_observations(cfg.observations)
-    rows = score_plds(profiles, verdicts, tau=cfg.tau)
-    write_reputation(rows, paths["reputation.tsv"])
+    score_reputation(cfg.verdicts, cfg.observations, paths["reputation.tsv"],
+                     tau=cfg.tau)
 
 
 def _stage_dga(cfg: RunConfig, paths: dict) -> None:
-    table = load_default_table()
     with open(paths["graph_nodes.tsv"], encoding="utf-8") as fh:
         fh.readline()
         plds = [line.split("\t", 1)[0] for line in fh if line.strip()]
-    with open(paths["dga.tsv"], "w", encoding="utf-8") as fh:
-        fh.write("pld\tscore\tverdict\n")
-        for pld in plds:
-            s = score_pld_name(pld, table)
-            fh.write(f"{pld}\t{s!r}\t{classify_dga(s)}\n")
-
-
-def _read_dga_scores(path: str) -> dict[str, float]:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) >= 2:
-                out[parts[0]] = float(parts[1])
-    return out
+    score_names(plds, paths["dga.tsv"])
 
 
 def _subsample_sorted(values: np.ndarray, cap: int) -> np.ndarray:
@@ -248,30 +338,16 @@ def _subsample_sorted(values: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _fit_unit(args: tuple) -> tuple[str, str, dict]:
-    feature, population, values, restarts, min_points = args
-    data = np.asarray(values, dtype=float)
-    out: dict = {"n": int(len(data))}
+    feature, population, data, restarts, min_points = args
     try:
-        cs = select_candidates(data, restarts=restarts, min_points=min_points)
-        out["selection"] = cs.selection
-        out["flag"] = cs.selection_flag
-        out["candidates"] = list(cs.candidates)
-        out["eliminated_by"] = {k: list(v) for k, v in cs.eliminated_by.items()}
-        out["fits"] = {
-            fam: {"params": fr.params, "x_min": fr.x_min, "D": fr.D,
-                  "loglik": fr.loglik, "n_tail": fr.n_tail}
-            for fam, fr in cs.fits.items() if fr is not None}
+        out = fit_values(data, restarts=restarts, min_points=min_points)
     except WebmalError as exc:
-        out["error"] = f"{type(exc).__name__}: {exc}"
-    try:
-        out["histogram"] = fibonacci_bins(data).to_dict()
-    except WebmalError as exc:
-        out["histogram"] = {"error": f"{type(exc).__name__}: {exc}"}
+        out = {"n": int(len(data)), "error": f"{type(exc).__name__}: {exc}",
+               "histogram": _histogram(data)}
     return feature, population, out
 
 
 def _stage_fits(cfg: RunConfig, paths: dict) -> None:
-    from .metrics import read_metrics
     mrows = read_metrics(paths["metrics.tsv"])
     reps = read_reputation(paths["reputation.tsv"])
     label = {r.pld: r.dichotomy for r in reps}
@@ -299,62 +375,36 @@ def _stage_fits(cfg: RunConfig, paths: dict) -> None:
     report: dict = {"config_hash": cfg.config_hash(), "features": {}}
     for feature, population, payload in results:
         report["features"].setdefault(feature, {})[population] = payload
-    _write_json(report, paths["fits.json"])
+    write_json(report, paths["fits.json"])
 
 
 def _stage_cooccur(cfg: RunConfig, paths: dict) -> None:
-    verdicts = read_verdicts(cfg.verdicts)
-    profiles = read_observations(cfg.observations)
-    sets = malicious_file_sets(profiles, verdicts, tau=cfg.tau)
-    if not sets:
-        open(paths["cooccur_edges.tsv"], "w").close()
-        open(paths["cooccur_sets.tsv"], "w").close()
-        return
-    g = build_cooccurrence(sets)
-    write_cooccurrence(g, paths["cooccur_edges.tsv"], paths["cooccur_sets.tsv"])
+    build_cooccur(cfg.verdicts, cfg.observations, paths["cooccur_edges.tsv"],
+                  paths["cooccur_sets.tsv"], tau=cfg.tau)
 
 
 def _stage_mdn(cfg: RunConfig, paths: dict) -> None:
-    from .mdn import read_cooccurrence
-    if os.path.getsize(paths["cooccur_sets.tsv"]) == 0:
-        _write_json({"config_hash": cfg.config_hash(), "components": []},
-                    paths["mdns.json"])
-        return
     g = read_cooccurrence(paths["cooccur_edges.tsv"], paths["cooccur_sets.tsv"])
-    comps = extract_mdns(g)
-    payload = json.loads(components_to_json(comps))
-    _write_json({"config_hash": cfg.config_hash(), "components": payload},
-                paths["mdns.json"])
+    write_json({"config_hash": cfg.config_hash(),
+                "components": mdn_components(g)}, paths["mdns.json"])
 
 
 def _stage_features(cfg: RunConfig, paths: dict) -> None:
-    from .metrics import read_metrics
-    mrows = read_metrics(paths["metrics.tsv"])
-    reps = read_reputation(paths["reputation.tsv"])
-    dga_scores = _read_dga_scores(paths["dga.tsv"])
-    alexa = read_alexa(cfg.alexa) if cfg.alexa else {}
-    fm = assemble_features(mrows, reps, dga_scores, alexa, cfg.feature_set)
-    write_features(fm, paths["features.tsv"])
+    assemble_feature_table(paths["metrics.tsv"], paths["reputation.tsv"],
+                           paths["dga.tsv"], paths["features.tsv"],
+                           alexa=cfg.alexa, feature_set=cfg.feature_set)
 
 
 def _stage_train(cfg: RunConfig, paths: dict) -> None:
-    fm = read_features(paths["features.tsv"])
-    g = read_graph(paths["graph_nodes.tsv"], paths["graph_edges.tsv"])
-    res = run_stacked_experiment(fm, g, seed=cfg.split_seed, l2=cfg.l2,
-                                 threshold=cfg.threshold, epochs=cfg.epochs)
-    write_model(res.base_model, paths["model.json"])
-    write_model(res.stacked_model, paths["model_stacked.json"])
-    payload = {
-        "config_hash": cfg.config_hash(),
-        "feature_set": cfg.feature_set,
-        "base": res.base_report.to_dict(),
-        "stacked": res.stacked_report.to_dict(),
-        "importance_base": [[n, w] for n, w in feature_importance(res.base_model)],
-        "importance_stacked": [[n, w] for n, w in feature_importance(res.stacked_model)],
-        "split": {"train": len(res.plan.train), "test": len(res.plan.test),
-                  "validation": len(res.plan.validation), "seed": cfg.split_seed},
-    }
-    _write_json(payload, paths["eval.json"])
+    res, payload = train_classifiers(
+        paths["features.tsv"], paths["graph_nodes.tsv"], paths["graph_edges.tsv"],
+        paths["model.json"], paths["model_stacked.json"], seed=cfg.split_seed,
+        l2=cfg.l2, threshold=cfg.threshold, epochs=cfg.epochs)
+    payload.update(config_hash=cfg.config_hash(), feature_set=cfg.feature_set,
+                   split={"train": len(res.plan.train), "test": len(res.plan.test),
+                          "validation": len(res.plan.validation),
+                          "seed": cfg.split_seed})
+    write_json(payload, paths["eval.json"])
 
 
 STAGES: tuple[Stage, ...] = (
@@ -464,7 +514,7 @@ def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> Ru
             manifest["stages"][stage.name] = {"status": "failed",
                                               "inputs": in_hashes,
                                               "config": stage_cfg}
-            _write_json(manifest, manifest_path)
+            write_json(manifest, manifest_path)
             raise type(exc)(f"stage {stage.name}: {exc}") from exc
         for name in stage.outputs:
             hashes.pop(paths[name], None)
@@ -477,7 +527,7 @@ def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> Ru
         executed.append(stage.name)
         if log:
             log(f"stage {stage.name}: done")
-    _write_json(manifest, manifest_path)
+    write_json(manifest, manifest_path)
     if cfg.emit_tsv:
         emit_tsv_reports(cfg.out_dir)
     return RunResult(out_dir=cfg.out_dir, manifest=manifest,

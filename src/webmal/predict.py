@@ -41,6 +41,12 @@ FEATURE_SETS: dict[str, tuple[str, ...]] = {
 FEATURE_SETS["all"] = (FEATURE_SETS["centrality"] + FEATURE_SETS["domain"]
                        + FEATURE_SETS["graph"] + FEATURE_SETS["alexa"])
 
+# metrics-table column behind each feature read from it
+METRIC_COLUMNS = {"authority": "auth", "hubs": "hub", "pagerank": "pagerank",
+                  "total_degree": "total", "indegree": "indeg",
+                  "outdegree": "outdeg", "triangles": "triangles",
+                  "num_pages": "pages"}
+
 
 @dataclass
 class FeatureMatrix:
@@ -118,22 +124,8 @@ def assemble_features(metrics, reputation, dga_scores: Mapping[str, float],
     n = len(plds)
     get = lambda key: np.array([mrows[p][key] for p in plds], dtype=float)
     for name in names:
-        if name == "authority":
-            cols[name] = get("auth")
-        elif name == "hubs":
-            cols[name] = get("hub")
-        elif name == "pagerank":
-            cols[name] = get("pagerank")
-        elif name == "total_degree":
-            cols[name] = get("total")
-        elif name == "indegree":
-            cols[name] = get("indeg")
-        elif name == "outdegree":
-            cols[name] = get("outdeg")
-        elif name == "triangles":
-            cols[name] = get("triangles")
-        elif name == "num_pages":
-            cols[name] = get("pages")
+        if name in METRIC_COLUMNS:
+            cols[name] = get(METRIC_COLUMNS[name])
         elif name == "total_files":
             cols[name] = np.array([rrows[p].total for p in plds], dtype=float)
         elif name == "unique_files":

@@ -51,61 +51,92 @@ def test_run_pipeline_via_config(tmp_path, corpus, capsys):
     assert "0 stages executed, 9 skipped" in out
 
 
-def test_individual_stage_commands(tmp_path, corpus):
-    edges = os.path.join(corpus, "edges.tsv")
-    psl = os.path.join(corpus, "psl.dat")
+def _stage_commands(out, corpus, epochs):
+    """Chain the single-stage subcommands on the corpus, naming each output
+    as `webmal run` does; return name -> path."""
+    p = {name: os.path.join(out, name) for name in (
+        "graph_nodes.tsv", "graph_edges.tsv", "metrics.tsv", "reputation.tsv",
+        "names.txt", "dga.tsv", "cooccur_edges.tsv", "cooccur_sets.tsv",
+        "mdn_list.json", "features.tsv", "model.json", "model_stacked.json",
+        "eval.json")}
     verdicts = os.path.join(corpus, "verdicts.tsv")
     observations = os.path.join(corpus, "observations.tsv")
-    nodes_out = str(tmp_path / "gnodes.tsv")
-    edges_out = str(tmp_path / "gedges.tsv")
-    assert main(["build-graph", "--edges", edges, "--psl", psl,
-                 "--out-nodes", nodes_out, "--out-edges", edges_out]) == 0
-
-    metrics_out = str(tmp_path / "metrics.tsv")
-    assert main(["metrics", "--nodes", nodes_out, "--edges", edges_out,
-                 "--out", metrics_out]) == 0
-
-    rep_out = str(tmp_path / "reputation.tsv")
+    assert main(["build-graph", "--edges", os.path.join(corpus, "edges.tsv"),
+                 "--psl", os.path.join(corpus, "psl.dat"),
+                 "--out-nodes", p["graph_nodes.tsv"],
+                 "--out-edges", p["graph_edges.tsv"]]) == 0
+    assert main(["metrics", "--nodes", p["graph_nodes.tsv"],
+                 "--edges", p["graph_edges.tsv"], "--out", p["metrics.tsv"]]) == 0
     assert main(["score", "--verdicts", verdicts, "--observations",
-                 observations, "--tau", "0.0", "--out", rep_out]) == 0
-
-    names_path = str(tmp_path / "names.txt")
-    with open(nodes_out) as fh:
+                 observations, "--tau", "0.0", "--out", p["reputation.tsv"]]) == 0
+    with open(p["graph_nodes.tsv"]) as fh:
         fh.readline()
         plds = [line.split("\t")[0] for line in fh]
-    with open(names_path, "w") as fh:
+    with open(p["names.txt"], "w") as fh:
         fh.write("\n".join(plds) + "\n")
-    dga_out = str(tmp_path / "dga.tsv")
-    assert main(["dga", "--names", names_path, "--out", dga_out]) == 0
-
-    coedges = str(tmp_path / "cooccur_edges.tsv")
-    cosets = str(tmp_path / "cooccur_sets.tsv")
-    mdns = str(tmp_path / "mdns.json")
+    assert main(["dga", "--names", p["names.txt"], "--out", p["dga.tsv"]]) == 0
     assert main(["cooccur", "--verdicts", verdicts, "--observations",
-                 observations, "--out-edges", coedges, "--out-sets", cosets,
-                 "--mdn-out", mdns]) == 0
-    assert json.loads(open(mdns).read())
-
-    feats = str(tmp_path / "features.tsv")
-    assert main(["features", "--metrics", metrics_out, "--reputation",
-                 rep_out, "--dga", dga_out,
+                 observations, "--out-edges", p["cooccur_edges.tsv"],
+                 "--out-sets", p["cooccur_sets.tsv"],
+                 "--mdn-out", p["mdn_list.json"]]) == 0
+    assert main(["features", "--metrics", p["metrics.tsv"], "--reputation",
+                 p["reputation.tsv"], "--dga", p["dga.tsv"],
                  "--alexa", os.path.join(corpus, "alexa.tsv"),
-                 "--out", feats]) == 0
+                 "--out", p["features.tsv"]]) == 0
+    assert main(["train", "--features", p["features.tsv"],
+                 "--nodes", p["graph_nodes.tsv"], "--edges", p["graph_edges.tsv"],
+                 "--epochs", str(epochs), "--out-model", p["model.json"],
+                 "--out-stacked", p["model_stacked.json"],
+                 "--out-eval", p["eval.json"]]) == 0
+    return p
 
-    model = str(tmp_path / "model.json")
-    stacked = str(tmp_path / "stacked.json")
-    ev = str(tmp_path / "eval.json")
-    assert main(["train", "--features", feats, "--nodes", nodes_out,
-                 "--edges", edges_out, "--epochs", "500",
-                 "--out-model", model, "--out-stacked", stacked,
-                 "--out-eval", ev]) == 0
-    rep = json.loads(open(ev).read())
+
+def test_individual_stage_commands(tmp_path, corpus):
+    p = _stage_commands(str(tmp_path), corpus, epochs=500)
+    assert json.loads(open(p["mdn_list.json"]).read())
+    rep = json.loads(open(p["eval.json"]).read())
     assert 0.0 <= rep["base"]["AUC"] <= 1.0
 
     ev2 = str(tmp_path / "eval2.json")
-    assert main(["evaluate", "--model", model, "--features", feats,
-                 "--out", ev2]) == 0
+    assert main(["evaluate", "--model", p["model.json"],
+                 "--features", p["features.tsv"], "--out", ev2]) == 0
     assert "AUC" in json.loads(open(ev2).read())
+
+
+def test_stage_commands_match_run(tmp_path, corpus):
+    cli = _stage_commands(str(tmp_path), corpus, epochs=800)
+    run_dir = tmp_path / "run"
+    cfg = {name: os.path.join(corpus, f) for name, f in (
+        ("edges", "edges.tsv"), ("psl", "psl.dat"), ("verdicts", "verdicts.tsv"),
+        ("observations", "observations.tsv"), ("alexa", "alexa.tsv"))}
+    cfg.update(out_dir=str(run_dir), fit_features=["num_pages"],
+               fit_restarts=2, fit_max_n=1500, epochs=800)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+
+    for name in ("graph_nodes.tsv", "graph_edges.tsv", "metrics.tsv",
+                 "reputation.tsv", "dga.tsv", "cooccur_edges.tsv",
+                 "cooccur_sets.tsv", "features.tsv", "model.json",
+                 "model_stacked.json"):
+        assert (run_dir / name).read_bytes() == open(cli[name], "rb").read(), name
+    mdns = json.loads((run_dir / "mdns.json").read_text())
+    assert mdns["components"]
+    assert json.loads(open(cli["mdn_list.json"]).read()) == mdns["components"]
+    run_eval = json.loads((run_dir / "eval.json").read_text())
+    for key in ("config_hash", "feature_set", "split"):
+        del run_eval[key]
+    assert json.loads(open(cli["eval.json"]).read()) == run_eval
+
+    with open(cli["metrics.tsv"]) as fh:
+        pages = fh.readline().rstrip("\n").split("\t").index("pages")
+        values = [line.rstrip("\n").split("\t")[pages] for line in fh]
+    (tmp_path / "pages.txt").write_text("\n".join(values) + "\n")
+    fit_out = tmp_path / "fit.json"
+    assert main(["fit", "--values", str(tmp_path / "pages.txt"),
+                 "--restarts", "2", "--out", str(fit_out)]) == 0
+    fits = json.loads((run_dir / "fits.json").read_text())
+    assert json.loads(fit_out.read_text()) == fits["features"]["num_pages"]["all"]
 
 
 def test_fit_command(tmp_path):
@@ -129,6 +160,28 @@ def test_fit_malformed_value_is_input_error(tmp_path, capsys):
     assert rc == 1
     assert f"input error: {path}:4: not a number: 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "fit.json").exists()
+
+
+def test_features_malformed_number_is_input_error(tmp_path, capsys):
+    metrics = tmp_path / "metrics.tsv"
+    metrics.write_text("pld\tindeg\toutdeg\ttotal\tpagerank\thub\tauth\t"
+                       "triangles\tpages\n"
+                       "a.com\t1\t1\t2\t0.5\t0.5\t0.5\t0\t3\n"
+                       "b.com\t1\t1\t2\t0.5\tx\t0.5\t0\t3\n")
+    reputation = tmp_path / "reputation.tsv"
+    reputation.write_text("a.com\tclean\t0.0\t1\t1\t0.0\n"
+                          "b.com\tmalicious\t1.0\t1\t1\t0.0\n")
+    dga = tmp_path / "dga.tsv"
+    dga.write_text("pld\tscore\tverdict\n"
+                   "a.com\t12.5\tlikely_regular\n"
+                   "b.com\tnan?\tlikely_dga\n")
+    argv = ["features", "--metrics", str(metrics), "--reputation",
+            str(reputation), "--dga", str(dga), "--out", str(tmp_path / "f.tsv")]
+    assert main(argv) == 1
+    assert f"input error: {metrics}:3: not a number: 'x'" in capsys.readouterr().err
+    metrics.write_text(metrics.read_text().replace("\tx\t", "\t0.5\t"))
+    assert main(argv) == 1
+    assert f"input error: {dga}:3: not a number: 'nan?'" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path, corpus):

@@ -28,6 +28,9 @@ GAMMA_REFERENCE = [
     (0.34, 0.02, 1.8502818473269821),
     (0.9, 150.0, 4.3444125327977487e-66),
     (0.5, 7.3, 0.00023558489526580423),
+    # x + 1 - s = 0: the continued fraction's first denominator vanishes
+    (5.0, 4.0, 15.092086444316964562),     # 824 e^-4
+    (6.0, 5.0, 73.915278579967574050),     # 10970 e^-5
 ]
 
 SIX = {
@@ -42,8 +45,8 @@ SIX = {
 
 @pytest.mark.parametrize("s,x,ref", GAMMA_REFERENCE)
 def test_upper_gamma_reference(s, x, ref):
-    got = upper_gamma(s, x)
-    assert abs(got - ref) <= 1e-10 * abs(ref)
+    for got in (upper_gamma(s, x), upper_gamma(s, np.array([x]))[0]):
+        assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
 def test_upper_gamma_vectorized_matches_scalar():

@@ -131,12 +131,6 @@ def test_components_tie_breaks_by_smallest_member():
     assert list(comp) == [0, 0, 1, 1]
 
 
-def test_components_mode_validation():
-    g = make_graph(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        connected_components(g, mode="strong")
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_against_oracles_random(seed):
     rng = np.random.default_rng(seed)
