@@ -93,21 +93,21 @@ def cmd_dga(args) -> None:
 
 def cmd_fit(args) -> None:
     from .errors import parse_float
-    from .heavytail import FAMILY_ORDER
     from .pipeline import fit_values, write_json
     with open(args.values, encoding="utf-8") as fh:
         values = [parse_float(line, f"{args.values}:{lineno}")
                   for lineno, line in enumerate(fh, 1) if line.strip()]
-    families = (tuple(f.strip() for f in args.families.split(","))
-                if args.families else FAMILY_ORDER)
-    payload = fit_values(np.array(values), families=families,
-                         restarts=args.restarts)
+    params = {"restarts": args.restarts}
+    if args.families:
+        params["families"] = tuple(f.strip() for f in args.families.split(","))
+    payload = fit_values(np.array(values), **params)
     write_json(payload, args.out)
     print(f"selection: {payload['selection']} ({payload['flag']}) -> {args.out}")
 
 
 def cmd_cooccur(args) -> None:
-    from .pipeline import build_cooccur, mdn_components, write_json
+    from .mdn import mdn_components
+    from .pipeline import build_cooccur, write_json
     g = build_cooccur(args.verdicts, args.observations, args.out_edges,
                       args.out_sets, tau=args.tau)
     msg = f"{g.n_nodes} nodes, {g.n_edges} edges"

@@ -8,9 +8,8 @@ the malware distribution networks, reported largest first.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import asdict, dataclass
+from typing import Mapping
 
 from .errors import EmptyInput, InputError
 
@@ -156,8 +155,6 @@ def read_cooccurrence(edge_path: str, sets_path: str) -> CooccurrenceGraph:
     return g
 
 
-def components_to_json(components: Iterable[ComponentSummary]) -> str:
-    payload = [{"id": c.id, "size": c.size, "members": list(c.members),
-                "shared_files": c.shared_files, "mean_weight": c.mean_weight}
-               for c in components]
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+def mdn_components(g: CooccurrenceGraph) -> list[dict]:
+    """The components of g as JSON-ready dicts, in extract_mdns order."""
+    return [asdict(c) for c in extract_mdns(g)]

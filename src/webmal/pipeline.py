@@ -17,7 +17,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -27,8 +27,8 @@ from .dga import (FreqTable, load_default_table, read_dga_scores,
                   score_pld_name, write_dga_scores)
 from .errors import ConfigError, WebmalError
 from .graph import PldGraph, build_from_file, read_graph, write_graph
-from .heavytail import FAMILY_ORDER, select_candidates
-from .mdn import (CooccurrenceGraph, build_cooccurrence, extract_mdns,
+from .heavytail import select_candidates
+from .mdn import (CooccurrenceGraph, build_cooccurrence, mdn_components,
                   read_cooccurrence, write_cooccurrence)
 from .metrics import NodeMetrics, compute_node_metrics, read_metrics, write_metrics
 from .predict import (FEATURE_SETS, METRIC_COLUMNS, ExperimentResult,
@@ -206,18 +206,15 @@ def build_graph(edges: str, psl: str, nodes_out: str, edges_out: str, *,
     return g
 
 
-def node_metrics(nodes: str, edges: str, out: str, *, damping: float = 0.85,
-                 pagerank_max_iter: int = 100,
-                 hits_max_iter: int = 1000) -> NodeMetrics:
-    m = compute_node_metrics(read_graph(nodes, edges), damping=damping,
-                             pagerank_max_iter=pagerank_max_iter,
-                             hits_max_iter=hits_max_iter)
+def node_metrics(nodes: str, edges: str, out: str, **params) -> NodeMetrics:
+    """params go to compute_node_metrics; unset ones keep its defaults."""
+    m = compute_node_metrics(read_graph(nodes, edges), **params)
     write_metrics(m, out)
     return m
 
 
 def score_reputation(verdicts: str, observations: str, out: str, *,
-                     tau: float = 0.0) -> list[PldReputation]:
+                     tau: float) -> list[PldReputation]:
     verdict_matrix = read_verdicts(verdicts)
     rows = score_plds(read_observations(observations), verdict_matrix, tau=tau)
     write_reputation(rows, out)
@@ -237,15 +234,14 @@ def _histogram(data: np.ndarray) -> dict:
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def fit_values(data: np.ndarray, *, restarts: int, min_points: int = 50,
-               families: tuple[str, ...] = FAMILY_ORDER) -> dict:
+def fit_values(data: np.ndarray, **params) -> dict:
     """Tail-family selection and Fibonacci histogram of one value list.
 
-    Raises the selection's WebmalError; a histogram that cannot be binned
-    (non-integer data) is recorded as {"error": ...} instead.
+    params go to select_candidates; unset ones keep its defaults. Raises the
+    selection's WebmalError; a histogram that cannot be binned (non-integer
+    data) is recorded as {"error": ...} instead.
     """
-    cs = select_candidates(data, families=families, restarts=restarts,
-                           min_points=min_points)
+    cs = select_candidates(data, **params)
     return {
         "n": int(len(data)),
         "selection": cs.selection,
@@ -260,7 +256,7 @@ def fit_values(data: np.ndarray, *, restarts: int, min_points: int = 50,
 
 
 def build_cooccur(verdicts: str, observations: str, edges_out: str,
-                  sets_out: str, *, tau: float = 0.0) -> CooccurrenceGraph:
+                  sets_out: str, *, tau: float) -> CooccurrenceGraph:
     """Co-occurrence graph of the malicious PLDs; empty files if there are none."""
     verdict_matrix = read_verdicts(verdicts)
     sets = malicious_file_sets(read_observations(observations), verdict_matrix,
@@ -270,13 +266,9 @@ def build_cooccur(verdicts: str, observations: str, edges_out: str,
     return g
 
 
-def mdn_components(g: CooccurrenceGraph) -> list[dict]:
-    return [asdict(c) for c in extract_mdns(g)]
-
-
 def assemble_feature_table(metrics: str, reputation: str, dga: str, out: str, *,
-                           alexa: str | None = None,
-                           feature_set: str = "all") -> FeatureMatrix:
+                           alexa: str | None,
+                           feature_set: str) -> FeatureMatrix:
     fm = assemble_features(read_metrics(metrics), read_reputation(reputation),
                            read_dga_scores(dga),
                            read_alexa(alexa) if alexa else {}, feature_set)

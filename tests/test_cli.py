@@ -150,7 +150,22 @@ def test_fit_command(tmp_path):
                  "--families", "power_law,exponential", "--out", out]) == 0
     payload = json.loads(open(out).read())
     assert payload["n"] == 3000
-    assert "histogram" in payload
+    assert sum(b["count"] for b in payload["histogram"]["bins"]) == 3000
+
+
+def test_fit_non_integer_values_record_histogram_error(tmp_path):
+    # the tail fit accepts real values; Fibonacci binning needs integers
+    rng = np.random.default_rng(17)
+    vals = (1.0 - rng.random(3000)) ** (-1.0 / 1.5)
+    path = tmp_path / "values.txt"
+    path.write_text("\n".join(str(v) for v in vals) + "\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--values", str(path), "--restarts", "2",
+                 "--families", "power_law,exponential", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["n"] == 3000 and payload["selection"] is not None
+    assert payload["histogram"] == {
+        "error": "InvalidParams: data must be positive integers"}
 
 
 def test_fit_malformed_value_is_input_error(tmp_path, capsys):

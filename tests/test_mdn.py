@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from webmal.errors import EmptyInput, InputError
-from webmal.mdn import (CooccurrenceGraph, build_cooccurrence,
-                        components_to_json, extract_mdns, read_cooccurrence,
-                        write_cooccurrence)
+from webmal.mdn import (CooccurrenceGraph, build_cooccurrence, extract_mdns,
+                        mdn_components, read_cooccurrence, write_cooccurrence)
 from webmal.oracles import oracle_jaccard
 
 
@@ -175,13 +174,14 @@ def test_roundtrip(tmp_path):
 
 
 def test_components_json_deterministic():
-    sets = {"a.com": {"f"}, "b.com": {"f"}}
-    comps = extract_mdns(build_cooccurrence(sets))
-    text = components_to_json(comps)
-    payload = json.loads(text)
-    assert payload[0]["members"] == ["a.com", "b.com"]
-    assert payload[0]["id"] == 1
-    assert text == components_to_json(comps)
+    g = build_cooccurrence({"a.com": {"f"}, "b.com": {"f"}, "c.com": {"g"}})
+    text = json.dumps(mdn_components(g), sort_keys=True)
+    assert json.loads(text) == [
+        {"id": 1, "size": 2, "members": ["a.com", "b.com"], "shared_files": 1,
+         "mean_weight": 1.0},
+        {"id": 2, "size": 1, "members": ["c.com"], "shared_files": 0,
+         "mean_weight": 0.0}]
+    assert text == json.dumps(mdn_components(g), sort_keys=True)
 
 
 def test_read_rejects_orphan_edge(tmp_path):
