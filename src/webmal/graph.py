@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptyInput, InputError, WebmalError
+from .errors import EmptyInput, InputError, WebmalError, parse_int
 from .psl import SuffixRules, extract_pld, pld_of_host, _host_of
 
 
@@ -160,44 +160,65 @@ def build_from_file(path: str, rules: SuffixRules, strict: bool = False) -> PldG
     return build_pld_graph(iter_edge_file(path), rules, strict=strict)
 
 
+NODE_HEADER = ("pld", "node_id", "page_count")
+EDGE_HEADER = ("src_id", "dst_id", "weight")
+
+
 def write_graph(g: PldGraph, node_path: str, edge_path: str) -> None:
     with open(node_path, "w", encoding="utf-8") as fh:
-        fh.write("pld\tnode_id\tpage_count\n")
+        fh.write("\t".join(NODE_HEADER) + "\n")
         for i, pld in enumerate(g.plds):
             fh.write(f"{pld}\t{i}\t{g.page_counts[i]}\n")
     with open(edge_path, "w", encoding="utf-8") as fh:
-        fh.write("src_id\tdst_id\tweight\n")
+        fh.write("\t".join(EDGE_HEADER) + "\n")
         for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight):
             fh.write(f"{s}\t{d}\t{w}\n")
+
+
+def _table_rows(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """(lineno, cells) for each row after `header`; a row with another
+    number of cells raises InputError."""
+    with open(path, encoding="utf-8") as fh:
+        expected = "\t".join(header)
+        if fh.readline().rstrip("\n") != expected:
+            raise InputError(f"{path}:1: expected header {expected!r}")
+        for lineno, line in enumerate(fh, 2):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != len(header):
+                raise InputError(f"{path}:{lineno}: expected {len(header)} "
+                                 f"fields, got {len(parts)}")
+            yield lineno, parts
 
 
 def read_graph(node_path: str, edge_path: str) -> PldGraph:
     plds: list[str] = []
     counts: list[int] = []
-    with open(node_path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("pld\t"):
-            raise InputError(f"unexpected node table header in {node_path}")
-        for line in fh:
-            pld, node_id, page_count = line.rstrip("\n").split("\t")
-            if int(node_id) != len(plds):
-                raise InputError(f"non-dense node ids in {node_path}")
-            plds.append(pld)
-            counts.append(int(page_count))
+    for lineno, (pld, node_id, page_count) in _table_rows(node_path, NODE_HEADER):
+        where = f"{node_path}:{lineno}"
+        if parse_int(node_id, where) != len(plds):
+            raise InputError(f"{where}: non-dense node id {node_id!r}")
+        plds.append(pld)
+        counts.append(parse_int(page_count, where))
     src: list[int] = []
     dst: list[int] = []
     weight: list[int] = []
-    with open(edge_path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("src_id\t"):
-            raise InputError(f"unexpected edge table header in {edge_path}")
-        for line in fh:
-            s, d, w = line.rstrip("\n").split("\t")
+    for lineno, (s, d, w) in _table_rows(edge_path, EDGE_HEADER):
+        try:
             src.append(int(s))
             dst.append(int(d))
             weight.append(int(w))
+        except ValueError:
+            # the edge table is large: name the line only once a cell fails
+            where = f"{edge_path}:{lineno}"
+            s, d, w = (parse_int(c, where) for c in (s, d, w))
+    # _table_rows skips no line, so edge row i is line i + 2
+    ends = np.array([src, dst], dtype=np.int64).reshape(2, -1)
+    outside = ((ends < 0) | (ends >= len(plds))).any(axis=0)
+    if outside.any():
+        i = int(outside.argmax())
+        raise InputError(f"{edge_path}:{i + 2}: edge {ends[0, i]} -> {ends[1, i]} "
+                         f"leaves the node ids [0, {len(plds)})")
     if not src:
         raise EmptyInput(f"no edges in {edge_path}")
-    return PldGraph(plds, np.array(counts, dtype=np.int64),
-                    np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+    return PldGraph(plds, np.array(counts, dtype=np.int64), ends[0], ends[1],
                     np.array(weight, dtype=np.int64))

@@ -8,7 +8,9 @@ the malware distribution networks, reported largest first.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import combinations
 from typing import Mapping
 
 from .errors import EmptyInput, InputError
@@ -48,7 +50,9 @@ def build_cooccurrence(mal_file_sets: Mapping[str, set[str]]) -> CooccurrenceGra
     """Build the network via an inverted file index.
 
     Cost scales with the membership of shared-file buckets rather than all
-    PLD pairs; candidate pairs are deduplicated through sorted-pair keys.
+    PLD pairs. Each bucket is one file, so the number of buckets a pair
+    shares is the size of its intersection, and the union size follows from
+    the two set sizes.
     """
     sets: dict[str, frozenset[str]] = {}
     for pld in sorted(mal_file_sets):
@@ -57,29 +61,31 @@ def build_cooccurrence(mal_file_sets: Mapping[str, set[str]]) -> CooccurrenceGra
             raise EmptyInput(f"PLD {pld!r} has an empty malicious-file set")
         sets[pld] = fs
 
+    # Buckets fill in sorted PLD order, so combinations() yields (a, b) with a < b.
     index: dict[str, list[str]] = {}
     for pld in sets:
         for h in sets[pld]:
             index.setdefault(h, []).append(pld)
 
-    pairs: set[tuple[str, str]] = set()
+    shared: Counter[tuple[str, str]] = Counter()
     for bucket in index.values():
-        if len(bucket) < 2:
-            continue
-        bucket.sort()
-        for i, a in enumerate(bucket):
-            for b in bucket[i + 1:]:
-                pairs.add((a, b))
+        if len(bucket) > 1:
+            shared.update(combinations(bucket, 2))
 
     edges: dict[tuple[str, str], float] = {}
-    for a, b in sorted(pairs):
-        fa, fb = sets[a], sets[b]
-        edges[(a, b)] = len(fa & fb) / len(fa | fb)
+    for a, b in sorted(shared):
+        n = shared[(a, b)]
+        edges[(a, b)] = n / (len(sets[a]) + len(sets[b]) - n)
     return CooccurrenceGraph(nodes=tuple(sorted(sets)), edges=edges, file_sets=sets)
 
 
 def extract_mdns(g: CooccurrenceGraph) -> list[ComponentSummary]:
-    """Connected components, largest first (ties by smallest member name)."""
+    """Connected components, largest first (ties by smallest member name).
+
+    One union-find pass and one pass over the edges, so the cost is linear
+    in nodes + edges. Each component's weights keep `g.edges` order, the
+    order its mean is summed in.
+    """
     parent = {n: n for n in g.nodes}
 
     def find(x: str) -> str:
@@ -96,19 +102,21 @@ def extract_mdns(g: CooccurrenceGraph) -> list[ComponentSummary]:
     groups: dict[str, list[str]] = {}
     for n in g.nodes:
         groups.setdefault(find(n), []).append(n)
-    comps = sorted((sorted(members) for members in groups.values()),
-                   key=lambda m: (-len(m), m[0]))
+    weights: dict[str, list[float]] = {}
+    for (a, _), w in g.edges.items():
+        weights.setdefault(find(a), []).append(w)
+    comps = sorted(((sorted(members), root) for root, members in groups.items()),
+                   key=lambda mr: (-len(mr[0]), mr[0][0]))
 
     out = []
-    for rank, members in enumerate(comps, 1):
-        member_set = set(members)
-        weights = [w for (a, b), w in g.edges.items() if a in member_set]
+    for rank, (members, root) in enumerate(comps, 1):
+        ws = weights.get(root, [])
         hosts: dict[str, int] = {}
         for m in members:
             for h in g.file_sets[m]:
                 hosts[h] = hosts.get(h, 0) + 1
         shared = sum(1 for c in hosts.values() if c >= 2)
-        mean_w = sum(weights) / len(weights) if weights else 0.0
+        mean_w = sum(ws) / len(ws) if ws else 0.0
         out.append(ComponentSummary(id=rank, size=len(members),
                                     members=tuple(members),
                                     shared_files=shared, mean_weight=mean_w))

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cs_components
 
-from .errors import parse_float
+from .errors import InputError, parse_float
 from .graph import PldGraph
 
 log = logging.getLogger(__name__)
@@ -229,6 +229,9 @@ def read_metrics(path: str) -> dict[str, dict[str, float]]:
         for lineno, line in enumerate(fh, 2):
             parts = line.rstrip("\n").split("\t")
             where = f"{path}:{lineno}"
+            if len(parts) != len(header):
+                raise InputError(f"{where}: expected {len(header)} fields, "
+                                 f"got {len(parts)}")
             out[parts[0]] = {k: parse_float(x, where)
                              for k, x in zip(header[1:], parts[1:])}
     return out

@@ -11,9 +11,11 @@ import numpy as np
 
 from .errors import InstanceTooLarge
 from .graph import PldGraph
+from .mdn import CooccurrenceGraph
 
 _MAX_DENSE = 500
 _MAX_CUBIC = 200
+_MAX_JACCARD = 2000
 
 
 def oracle_degrees(g: PldGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +144,7 @@ def oracle_components(g: PldGraph) -> np.ndarray:
 def oracle_jaccard(file_sets: dict[str, set[str]]) -> dict[tuple[str, str], float]:
     """All-pairs Jaccard similarity by direct double loop."""
     names = sorted(file_sets)
-    if len(names) > 2000:
+    if len(names) > _MAX_JACCARD:
         raise InstanceTooLarge(f"{len(names)} nodes")
     out: dict[tuple[str, str], float] = {}
     for i, a in enumerate(names):
@@ -154,6 +156,45 @@ def oracle_jaccard(file_sets: dict[str, set[str]]) -> dict[tuple[str, str], floa
             inter = len(fa & fb)
             if inter:
                 out[(a, b)] = inter / len(fa | fb)
+    return out
+
+
+def oracle_mdns(g: CooccurrenceGraph) -> list[dict]:
+    """MDN components in the order and format of mdn.mdn_components.
+
+    Components come from breadth-first search; each one's mean weight
+    rescans every edge (components x edges), in `g.edges` order.
+    """
+    if g.n_nodes > _MAX_JACCARD:
+        raise InstanceTooLarge(f"{g.n_nodes} nodes")
+    adj: dict[str, list[str]] = {n: [] for n in g.nodes}
+    for a, b in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen: set[str] = set()
+    comps = []
+    for n in g.nodes:
+        if n in seen:
+            continue
+        seen.add(n)
+        queue = [n]
+        for x in queue:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        comps.append(sorted(queue))
+    comps.sort(key=lambda m: (-len(m), m[0]))
+    out = []
+    for rank, members in enumerate(comps, 1):
+        member_set = set(members)
+        weights = [w for (a, b), w in g.edges.items() if a in member_set]
+        files = set().union(*(g.file_sets[m] for m in members))
+        shared = sum(1 for h in files
+                     if sum(h in g.file_sets[m] for m in members) >= 2)
+        out.append({"id": rank, "size": len(members), "members": tuple(members),
+                    "shared_files": shared,
+                    "mean_weight": sum(weights) / len(weights) if weights else 0.0})
     return out
 
 

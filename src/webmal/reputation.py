@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (EmptyProfile, EmptyVector, InputError, InvalidParams,
-                     MissingVerdict)
+                     MissingVerdict, parse_float, parse_int)
 
 DEFAULT_ENGINES = 56
 
@@ -261,14 +261,17 @@ def read_reputation(path: str) -> list[PldReputation]:
             if not line:
                 continue
             parts = line.split("\t")
+            where = f"{path}:{lineno}"
             if len(parts) != 6:
-                raise InputError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+                raise InputError(f"{where}: expected 6 fields, got {len(parts)}")
             if parts[1] not in ("clean", "malicious"):
-                raise InputError(f"{path}:{lineno}: bad dichotomy {parts[1]!r}")
+                raise InputError(f"{where}: bad dichotomy {parts[1]!r}")
             rows.append(PldReputation(
-                pld=parts[0], dichotomy=parts[1], r_bar=float(parts[2]),
-                n_unique=int(parts[3]), total=int(parts[4]),
-                entropy=float(parts[5])))
+                pld=parts[0], dichotomy=parts[1],
+                r_bar=parse_float(parts[2], where),
+                n_unique=parse_int(parts[3], where),
+                total=parse_int(parts[4], where),
+                entropy=parse_float(parts[5], where)))
     return rows
 
 

@@ -177,26 +177,59 @@ def test_fit_malformed_value_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "fit.json").exists()
 
 
-def test_features_malformed_number_is_input_error(tmp_path, capsys):
+def _feature_inputs(tmp_path):
+    """Valid metrics, reputation and dga tables for a.com and b.com."""
     metrics = tmp_path / "metrics.tsv"
     metrics.write_text("pld\tindeg\toutdeg\ttotal\tpagerank\thub\tauth\t"
                        "triangles\tpages\n"
                        "a.com\t1\t1\t2\t0.5\t0.5\t0.5\t0\t3\n"
-                       "b.com\t1\t1\t2\t0.5\tx\t0.5\t0\t3\n")
+                       "b.com\t1\t1\t2\t0.5\t0.5\t0.5\t0\t3\n")
     reputation = tmp_path / "reputation.tsv"
     reputation.write_text("a.com\tclean\t0.0\t1\t1\t0.0\n"
                           "b.com\tmalicious\t1.0\t1\t1\t0.0\n")
     dga = tmp_path / "dga.tsv"
     dga.write_text("pld\tscore\tverdict\n"
                    "a.com\t12.5\tlikely_regular\n"
-                   "b.com\tnan?\tlikely_dga\n")
+                   "b.com\t3.0\tlikely_dga\n")
     argv = ["features", "--metrics", str(metrics), "--reputation",
             str(reputation), "--dga", str(dga), "--out", str(tmp_path / "f.tsv")]
+    return {"metrics": metrics, "reputation": reputation, "dga": dga}, argv
+
+
+def test_features_malformed_number_is_input_error(tmp_path, capsys):
+    paths, argv = _feature_inputs(tmp_path)
+    metrics, dga = paths["metrics"], paths["dga"]
+    metrics.write_text(metrics.read_text().replace("b.com\t1\t1\t2\t0.5\t0.5",
+                                                   "b.com\t1\t1\t2\t0.5\tx"))
     assert main(argv) == 1
     assert f"input error: {metrics}:3: not a number: 'x'" in capsys.readouterr().err
     metrics.write_text(metrics.read_text().replace("\tx\t", "\t0.5\t"))
+    dga.write_text(dga.read_text().replace("3.0", "nan?"))
     assert main(argv) == 1
     assert f"input error: {dga}:3: not a number: 'nan?'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table, old, new, message", [
+    ("metrics", "b.com\t1\t1\t2\t0.5\t0.5\t0.5\t0\t3", "b.com\t1\t1\t2",
+     "metrics.tsv:3: expected 9 fields, got 4"),
+    ("reputation", "malicious\t1.0", "malicious\tx",
+     "reputation.tsv:2: not a number: 'x'"),
+    ("reputation", "clean\t0.0\t1\t1\t0.0", "clean\t0.0\t1\t1\t?",
+     "reputation.tsv:1: not a number: '?'"),
+    ("reputation", "malicious\t1.0\t1", "malicious\t1.0\tx",
+     "reputation.tsv:2: not an integer: 'x'"),
+    ("reputation", "clean\t0.0\t1\t1", "clean\t0.0\t1\t1.5",
+     "reputation.tsv:1: not an integer: '1.5'"),
+], ids=["metrics-short-row", "reputation-r_bar", "reputation-H", "reputation-N",
+        "reputation-TF"])
+def test_features_malformed_table_is_input_error(tmp_path, capsys, table, old,
+                                                 new, message):
+    paths, argv = _feature_inputs(tmp_path)
+    text = paths[table].read_text()
+    assert old in text
+    paths[table].write_text(text.replace(old, new))
+    assert main(argv) == 1
+    assert f"input error: {tmp_path / message}" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path, corpus):

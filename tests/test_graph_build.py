@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from webmal.errors import EmptyInput
+from webmal.errors import EmptyInput, InputError
 from webmal.graph import (GraphBuilder, build_from_file, build_pld_graph,
                           read_graph, write_graph)
 from webmal.oracles import oracle_graph_recount
@@ -125,6 +125,31 @@ def test_tsv_roundtrip(tmp_path):
     assert g2.plds == g.plds
     assert np.array_equal(g2.page_counts, g.page_counts)
     assert g2.edge_dict() == g.edge_dict()
+
+
+_NODES = "pld\tnode_id\tpage_count\na.com\t0\t2\nb.com\t1\t1\n"
+_EDGES = "src_id\tdst_id\tweight\n0\t1\t3\n1\t0\t1\n"
+
+
+@pytest.mark.parametrize("table, bad, message", [
+    ("nodes", "b.com\t1\n", "expected 3 fields, got 2"),
+    ("edges", "1\t0\t1\t9\n", "expected 3 fields, got 4"),
+    ("nodes", "b.com\t1\tmany\n", "not an integer: 'many'"),
+    ("edges", "1\t0.5\t1\n", "not an integer: '0.5'"),
+    ("edges", "1\t2\t1\n", "edge 1 -> 2 leaves the node ids [0, 2)"),
+    ("edges", "-1\t0\t1\n", "edge -1 -> 0 leaves the node ids [0, 2)"),
+], ids=["node-fields", "edge-fields", "node-cell", "edge-cell", "edge-id-high",
+        "edge-id-negative"])
+def test_read_graph_malformed_is_input_error(tmp_path, table, bad, message):
+    text = {"nodes": _NODES, "edges": _EDGES}
+    text[table] = text[table].rsplit("\n", 2)[0] + "\n" + bad   # bad line 3
+    paths = {}
+    for name, body in text.items():
+        paths[name] = tmp_path / f"{name}.tsv"
+        paths[name].write_text(body)
+    with pytest.raises(InputError) as err:
+        read_graph(str(paths["nodes"]), str(paths["edges"]))
+    assert str(err.value) == f"{paths[table]}:3: {message}"
 
 
 def test_gzip_edge_file(tmp_path):

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from webmal.errors import EmptyInput, InputError
 from webmal.mdn import (CooccurrenceGraph, build_cooccurrence, extract_mdns,
                         mdn_components, read_cooccurrence, write_cooccurrence)
-from webmal.oracles import oracle_jaccard
+from webmal.oracles import oracle_jaccard, oracle_mdns
+from webmal.reputation import malicious_file_sets
+from webmal.synthlab import default_spec, plant_crawl
 
 
 def test_identical_sets_weight_one():
@@ -52,9 +54,8 @@ def test_matches_quadratic_oracle_on_random_corpora():
             sets[f"pld{i:02d}.net"] = set(rng.choice(file_pool, size=k, replace=False))
         g = build_cooccurrence(sets)
         oracle = oracle_jaccard(sets)
-        assert set(g.edges) == set(oracle)
-        for key in oracle:
-            assert g.edges[key] == oracle[key]   # identical floats, not approx
+        # same keys in the same order, identical floats (not approx)
+        assert list(g.edges.items()) == list(oracle.items())
 
 
 @given(st.lists(st.tuples(st.sampled_from("abcdefgh"),
@@ -159,6 +160,36 @@ def test_planted_components_recovered():
     assert len(comps) == 12
     got = sorted(list(c.members) for c in comps)
     assert got == sorted(planted)
+
+
+def _assert_matches_edge_scan(g):
+    got, want = mdn_components(g), oracle_mdns(g)
+    assert got == want
+    # the mean is summed in the same order, so its bits are equal too
+    assert [repr(c["mean_weight"]) for c in got] == \
+        [repr(c["mean_weight"]) for c in want]
+
+
+def test_mdns_match_edge_scan_oracle_on_random_corpora():
+    rng = np.random.default_rng(17)
+    for trial in range(10):
+        file_pool = [f"h{j:03d}" for j in range(150)]
+        sets = {}
+        for i in range(80):
+            k = int(rng.integers(1, 4))
+            sets[f"pld{i:02d}.net"] = set(rng.choice(file_pool, size=k, replace=False))
+        g = build_cooccurrence(sets)
+        assert len(extract_mdns(g)) > 5
+        _assert_matches_edge_scan(g)
+
+
+def test_mdns_match_edge_scan_oracle_on_planted_corpus():
+    c = plant_crawl(default_spec(seed=23, n_plds=500, malicious_fraction=0.3,
+                                 components=(12, 8, 8, 5, 3, 3)))
+    g = build_cooccurrence(malicious_file_sets(c.profiles, c.verdicts, tau=0.0))
+    multi = [m for m in mdn_components(g) if m["size"] > 1]
+    assert [m["size"] for m in multi] == [12, 8, 8, 5, 3, 3]
+    _assert_matches_edge_scan(g)
 
 
 # ---------------------------------------------------------------------------
