@@ -17,6 +17,8 @@ import scipy.sparse as sp
 from .errors import EmptyInput, InputError, WebmalError, parse_int
 from .psl import SuffixRules, extract_pld, pld_of_host, _host_of
 
+_INT64 = np.iinfo(np.int64)
+
 
 @dataclass
 class PldGraph:
@@ -211,8 +213,9 @@ def read_graph(node_path: str, edge_path: str) -> PldGraph:
             # the edge table is large: name the line only once a cell fails
             where = f"{edge_path}:{lineno}"
             s, d, w = (parse_int(c, where) for c in (s, d, w))
-    # _table_rows skips no line, so edge row i is line i + 2
-    ends = np.array([src, dst], dtype=np.int64).reshape(2, -1)
+    (counts_arr,) = _int64_rows(node_path, counts)
+    edges = _int64_rows(edge_path, src, dst, weight)
+    ends = edges[:2]
     outside = ((ends < 0) | (ends >= len(plds))).any(axis=0)
     if outside.any():
         i = int(outside.argmax())
@@ -220,5 +223,19 @@ def read_graph(node_path: str, edge_path: str) -> PldGraph:
                          f"leaves the node ids [0, {len(plds)})")
     if not src:
         raise EmptyInput(f"no edges in {edge_path}")
-    return PldGraph(plds, np.array(counts, dtype=np.int64), ends[0], ends[1],
-                    np.array(weight, dtype=np.int64))
+    return PldGraph(plds, counts_arr, edges[0], edges[1], edges[2])
+
+
+def _int64_rows(path: str, *columns: list[int]) -> np.ndarray:
+    """The columns of a table as the rows of one int64 array.
+
+    A cell outside the int64 range raises InputError naming its line;
+    _table_rows skips no line, so table row i is line i + 2.
+    """
+    try:
+        return np.array(columns, dtype=np.int64).reshape(len(columns), -1)
+    except OverflowError:
+        lo, hi = _INT64.min, _INT64.max
+        i, x = next((i, x) for i, row in enumerate(zip(*columns))
+                    for x in row if not lo <= x <= hi)
+        raise InputError(f"{path}:{i + 2}: integer out of range: {x}") from None

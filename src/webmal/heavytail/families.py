@@ -108,12 +108,7 @@ def upper_gamma(s: float, x) -> np.ndarray | float:
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
-        if arr <= 0:
-            raise InvalidParams("upper_gamma needs x > 0")
-        if arr >= _CF_SWITCH:
-            return _upper_gamma_cf_scalar(s, float(arr))
-        # a 0-d array: ** then takes the same numpy path as on arrays
-        return float(_upper_gamma_small(s, arr))
+        return _upper_gamma_float(s, float(arr))
     if np.any(arr <= 0):
         raise InvalidParams("upper_gamma needs x > 0")
     out = np.empty_like(arr)
@@ -125,8 +120,17 @@ def upper_gamma(s: float, x) -> np.ndarray | float:
     return out
 
 
+def _upper_gamma_float(s: float, x: float) -> float:
+    if x <= 0:
+        raise InvalidParams("upper_gamma needs x > 0")
+    if x >= _CF_SWITCH:
+        return _upper_gamma_cf_scalar(s, x)
+    # a 0-d array: ** then takes the same numpy path as on arrays
+    return float(_upper_gamma_small(s, np.asarray(x)))
+
+
 def log_upper_gamma(s: float, x: float) -> float:
-    g = upper_gamma(s, x)
+    g = _upper_gamma_float(s, float(x))
     if g <= 0 or not math.isfinite(g):
         raise InvalidParams(f"Gamma({s}, {x}) not representable")
     return math.log(g)

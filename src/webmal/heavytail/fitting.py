@@ -7,18 +7,27 @@ the normalized log-likelihood ratio with the variance estimated from the
 per-point differences, and a family is eliminated only when a competitor
 beats it decisively (R < 0 with p below the significance level).
 
+Each family's numeric fit is one record in `_TAIL_FITS` (a `_TailFit`):
+its start points, its warm-start encoding, its closed form where one exists
+(power law, exponential), and a builder of its objective. The objective is
+one closure on the optimizer's vector that decodes it, checks the parameter
+box and evaluates the log-likelihood on local floats, with no dict and no
+dispatch on the family name.
+
 The numeric fits use Nelder-Mead implemented in this module (`minimize`),
 which reproduces scipy's non-adaptive Nelder-Mead iterate for iterate and
-bit for bit. An x_min scan makes hundreds of thousands of objective calls
-on 1- and 2-parameter simplices, where scipy's per-iteration numpy work
-costs as much as the objective; on plain floats that overhead is gone and
-the fits, and every report built from them, stay the same.
+bit for bit, unrolled for the 1- and 2-parameter simplices the families
+need. An x_min scan makes hundreds of thousands of objective calls, where
+scipy's per-iteration numpy work, or a per-call parameter dict, costs as
+much as the likelihood itself; without that overhead the fits, and every
+report built from them, stay the same.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -86,7 +95,6 @@ class _TailStats:
     for every family except the stretched exponential."""
 
     def __init__(self, tail: np.ndarray, x_min: float):
-        self.x = tail
         self.x_min = float(x_min)
         self.n = len(tail)
         self.log_x = np.log(tail)
@@ -95,31 +103,6 @@ class _TailStats:
         self.sum_log_sq = float((self.log_x ** 2).sum())
         self.mean = self.sum_x / self.n
         self.log_xmin = math.log(x_min)
-
-    def loglik(self, family: str, params: dict[str, float]) -> float:
-        n, xm = self.n, self.x_min
-        if family == "power_law":
-            a = params["alpha"]
-            return n * math.log(a - 1) - n * self.log_xmin - a * (self.sum_log - n * self.log_xmin)
-        if family == "trunc_power_law":
-            a, lam = params["alpha"], params["lambda"]
-            log_c = (1 - a) * math.log(lam) - log_upper_gamma(1 - a, lam * xm)
-            return n * log_c - a * self.sum_log - lam * self.sum_x
-        if family == "exponential":
-            lam = params["lambda"]
-            return n * math.log(lam) - lam * (self.sum_x - n * xm)
-        if family == "stretched_exponential":
-            b, lam = params["beta"], params["lambda"]
-            s_b = float(np.exp(b * self.log_x).sum())
-            return (n * (math.log(b) + math.log(lam)) + (b - 1) * self.sum_log
-                    - lam * (s_b - n * xm ** b))
-        if family in ("lognormal", "lognormal_positive"):
-            mu, sigma = params["mu"], params["sigma"]
-            z0 = (self.log_xmin - mu) / sigma
-            quad = self.sum_log_sq - 2 * mu * self.sum_log + n * mu * mu
-            return (-self.sum_log - n * math.log(sigma) - 0.5 * n * math.log(2 * math.pi)
-                    - quad / (2 * sigma * sigma) - n * float(log_ndtr(-z0)))
-        raise InvalidParams(f"unknown family {family!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,6 +117,14 @@ def _halton(dim: int, count: int) -> np.ndarray:
 # scipy's non-adaptive Nelder-Mead coefficients and initial-simplex steps
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
+# the affine weights of xbar and of the worst vertex in each trial point
+_XR, _WR = 1 + _RHO, _RHO                  # reflection
+_XE, _WE = 1 + _RHO * _CHI, _RHO * _CHI    # expansion
+_XC, _WC = 1 + _PSI * _RHO, _PSI * _RHO    # outside contraction
+_XCC, _WCC = 1 - _PSI, _PSI                # inside contraction: _XCC*xbar + _WCC*worst
+
+
+Objective = Callable[[list[float]], float]
 
 
 class NelderMeadResult(NamedTuple):
@@ -143,14 +134,10 @@ class NelderMeadResult(NamedTuple):
     nit: int
 
 
-class _MaxFev(Exception):
-    pass
-
-
-def minimize(fun: Callable[[list[float]], float], x0, *, xatol: float = 1e-8,
+def minimize(fun: Objective, x0, *, xatol: float = 1e-8,
              fatol: float = 1e-6, maxiter: int = 2000,
              maxfev: int = 4000) -> NelderMeadResult:
-    """Nelder-Mead (1965) on plain float lists, iterate for iterate scipy's.
+    """Nelder-Mead (1965) on 1 or 2 plain floats, iterate for iterate scipy's.
 
     A port of scipy.optimize.minimize(method="Nelder-Mead") without bounds
     or adaptive coefficients: the same initial simplex, the same arithmetic
@@ -158,88 +145,164 @@ def minimize(fun: Callable[[list[float]], float], x0, *, xatol: float = 1e-8,
     xatol/fatol test and the same maxiter/maxfev cut-off, where the call
     that would exceed maxfev is not made. x and fun therefore match scipy's
     bit for bit, and so do nfev and nit. The defaults are the tail fits'
-    options.
+    options. The tail families have at most two free parameters, so the
+    simplex is unrolled into local floats for each of the two sizes.
 
     fun receives a vertex as a list, which it must not modify, and returns
     a float that is never NaN (inf marks an infeasible point).
     """
-    n = len(x0)
-    x0 = [float(v) for v in x0]
-    sim = [x0]
-    for k in range(n):
-        y = list(x0)
-        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
-        sim.append(y)
-    fsim = [math.inf] * (n + 1)
-    nfev = 0
+    if len(x0) == 1:
+        return _nelder_mead_1d(fun, float(x0[0]), xatol, fatol, maxiter, maxfev)
+    if len(x0) == 2:
+        return _nelder_mead_2d(fun, float(x0[0]), float(x0[1]), xatol, fatol,
+                               maxiter, maxfev)
+    raise InvalidParams(f"minimize takes 1 or 2 parameters, not {len(x0)}")
 
-    def f(x: list[float]) -> float:
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _MaxFev
-        nfev += 1
-        return fun(x)
 
-    def sort() -> None:
-        order = sorted(range(n + 1), key=fsim.__getitem__)
-        sim[:] = [sim[i] for i in order]
-        fsim[:] = [fsim[i] for i in order]
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _MaxFev:
-        pass
-    sort()
+def _nelder_mead_1d(fun: Objective, a: float, xatol: float, fatol: float,
+                    maxiter: int, maxfev: int) -> NelderMeadResult:
+    # vertices a (best) and b (worst), fa <= fb after every sort
+    b = (1 + _NONZDELT) * a if a != 0 else _ZDELT
+    fa = fb = math.inf
+    nfev = min(maxfev, 2)
+    if nfev > 0:
+        fa = fun([a])
+    if nfev > 1:
+        fb = fun([b])
+    if fb < fa:  # the stable sort of two vertices
+        a, b, fa, fb = b, a, fb, fa
     nit = 1
     while nfev < maxfev and nit < maxiter:
-        try:
-            best, fbest = sim[0], fsim[0]
-            if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
-                    and all(abs(fbest - fv) <= fatol for fv in fsim[1:])):
+        # not (|d| <= tol): |inf - inf| is NaN, which must not converge
+        if abs(b - a) <= xatol and abs(fa - fb) <= fatol:
+            break
+        xbar = 0.0 + a  # numpy's add.reduce starts from +0.0; / 1 is exact
+        xr = _XR * xbar - _WR * b
+        fxr = fun([xr])
+        nfev += 1
+        shrink = False
+        # scipy's "fxr < fsim[-2]" branch is fxr < fa here, taken above
+        if fxr < fa:
+            if nfev == maxfev:
                 break
-            xbar = []
-            for k in range(n):
-                acc = 0.0  # numpy's add.reduce starts from +0.0 too
-                for x in sim[:-1]:
-                    acc = acc + x[k]
-                xbar.append(acc / n)
-            worst = sim[-1]
-            xr = [(1 + _RHO) * b - _RHO * w for b, w in zip(xbar, worst)]
-            fxr = f(xr)
-            doshrink = False
-            if fxr < fsim[0]:
-                xe = [(1 + _RHO * _CHI) * b - _RHO * _CHI * w for b, w in zip(xbar, worst)]
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:  # outside contraction
-                xc = [(1 + _PSI * _RHO) * b - _PSI * _RHO * w for b, w in zip(xbar, worst)]
-                fxc = f(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    doshrink = True
-            else:  # inside contraction
-                xcc = [(1 - _PSI) * b + _PSI * w for b, w in zip(xbar, worst)]
-                fxcc = f(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    doshrink = True
-            if doshrink:
-                for j in range(1, n + 1):
-                    sim[j] = [b + _SIGMA * (v - b) for b, v in zip(sim[0], sim[j])]
-                    fsim[j] = f(sim[j])
+            xe = _XE * xbar - _WE * b
+            fxe = fun([xe])
+            nfev += 1
+            xn, fn = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fb:
+            if nfev == maxfev:
+                break
+            xn = _XC * xbar - _WC * b
+            fn = fun([xn])
+            nfev += 1
+            shrink = not fn <= fxr
+        else:
+            if nfev == maxfev:
+                break
+            xn = _XCC * xbar + _WCC * b
+            fn = fun([xn])
+            nfev += 1
+            shrink = not fn < fb
+        if shrink:
+            b = a + _SIGMA * (b - a)
+            if nfev == maxfev:  # the vertex moves, its value is not updated
+                break
+            fb = fun([b])
+            nfev += 1
+        else:
+            b, fb = xn, fn
+        nit += 1
+        if fb < fa:
+            a, b, fa, fb = b, a, fb, fa
+    if fb < fa:
+        a, b, fa, fb = b, a, fb, fa
+    return NelderMeadResult([a], fa, nfev, nit)
+
+
+_VALUE = operator.itemgetter(-1)  # a (x, y, f) vertex's sort key
+
+
+def _nelder_mead_2d(fun: Objective, x0: float, y0: float, xatol: float,
+                    fatol: float, maxiter: int, maxfev: int) -> NelderMeadResult:
+    # vertices (x0, y0) best, (x1, y1), (x2, y2) worst; f0 <= f1 <= f2
+    # after every sort
+    x1, y1 = (1 + _NONZDELT) * x0 if x0 != 0 else _ZDELT, y0
+    x2, y2 = x0, (1 + _NONZDELT) * y0 if y0 != 0 else _ZDELT
+    f0 = f1 = f2 = math.inf
+    nfev = min(maxfev, 3)
+    if nfev > 0:
+        f0 = fun([x0, y0])
+    if nfev > 1:
+        f1 = fun([x1, y1])
+    if nfev > 2:
+        f2 = fun([x2, y2])
+    (x0, y0, f0), (x1, y1, f1), (x2, y2, f2) = sorted(
+        ((x0, y0, f0), (x1, y1, f1), (x2, y2, f2)), key=_VALUE)
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        if (abs(x1 - x0) <= xatol and abs(y1 - y0) <= xatol
+                and abs(x2 - x0) <= xatol and abs(y2 - y0) <= xatol
+                and abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol):
+            break
+        xbar = (0.0 + x0 + x1) / 2
+        ybar = (0.0 + y0 + y1) / 2
+        xr, yr = _XR * xbar - _WR * x2, _XR * ybar - _WR * y2
+        fxr = fun([xr, yr])
+        nfev += 1
+        shrink = False
+        if fxr < f0:
+            if nfev == maxfev:
+                break
+            xe, ye = _XE * xbar - _WE * x2, _XE * ybar - _WE * y2
+            fxe = fun([xe, ye])
+            nfev += 1
+            xn, yn, fn = (xe, ye, fxe) if fxe < fxr else (xr, yr, fxr)
+        elif fxr < f1:
+            xn, yn, fn = xr, yr, fxr
+        elif fxr < f2:
+            if nfev == maxfev:
+                break
+            xn, yn = _XC * xbar - _WC * x2, _XC * ybar - _WC * y2
+            fn = fun([xn, yn])
+            nfev += 1
+            shrink = not fn <= fxr
+        else:
+            if nfev == maxfev:
+                break
+            xn, yn = _XCC * xbar + _WCC * x2, _XCC * ybar + _WCC * y2
+            fn = fun([xn, yn])
+            nfev += 1
+            shrink = not fn < f2
+        if shrink:
+            x1, y1 = x0 + _SIGMA * (x1 - x0), y0 + _SIGMA * (y1 - y0)
+            if nfev == maxfev:  # the vertex moves, its value is not updated
+                break
+            f1 = fun([x1, y1])
+            nfev += 1
+            x2, y2 = x0 + _SIGMA * (x2 - x0), y0 + _SIGMA * (y2 - y0)
+            if nfev == maxfev:
+                break
+            f2 = fun([x2, y2])
+            nfev += 1
             nit += 1
-        except _MaxFev:
-            pass
-        sort()
-    return NelderMeadResult(sim[0], fsim[0], nfev, nit)
+            (x0, y0, f0), (x1, y1, f1), (x2, y2, f2) = sorted(
+                ((x0, y0, f0), (x1, y1, f1), (x2, y2, f2)), key=_VALUE)
+            continue
+        nit += 1
+        # the new vertex replaces the worst; the stable sort puts it after
+        # any vertex with an equal value
+        if fn < f1:
+            x2, y2, f2 = x1, y1, f1
+            if fn < f0:
+                x1, y1, f1 = x0, y0, f0
+                x0, y0, f0 = xn, yn, fn
+            else:
+                x1, y1, f1 = xn, yn, fn
+        else:
+            x2, y2, f2 = xn, yn, fn
+    (x0, y0, f0), (x1, y1, f1), (x2, y2, f2) = sorted(
+        ((x0, y0, f0), (x1, y1, f1), (x2, y2, f2)), key=_VALUE)
+    return NelderMeadResult([x0, y0], f0, nfev, nit)
 
 
 class _Boxes:
@@ -251,98 +314,283 @@ class _Boxes:
         self.exp_lam = 1.0 / excess
 
 
-def _numeric_mle(stats: _TailStats, family: str, restarts: int,
-                 warm: dict[str, float] | None = None) -> tuple[dict[str, float], float]:
-    """Derivative-free maximization of the tail log-likelihood.
+# what makes a point infeasible: its decoding overflows, or its likelihood
+# has no value there (log_upper_gamma raises InvalidParams)
+_INFEASIBLE = (InvalidParams, OverflowError, ValueError)
+
+
+class _TailFit:
+    """How one tail family is fitted numerically, on the optimizer's vector t.
 
     Parameters run through a transform (logs for scale parameters) so the
-    simplex explores decades evenly; restarts come from a fixed Halton
-    sequence plus moment-based and warm starts.
+    simplex explores decades evenly. decode maps t to the parameters;
+    objective(stats, boxes) returns one closure on t that decodes, checks
+    the parameter box and evaluates -loglik on local floats, inf outside
+    the box or where the likelihood is not finite. An x_min scan calls it
+    hundreds of thousands of times, so it builds no dict and dispatches on
+    no family name.
+
+    The starts are first_start (moments or a closed form) followed by
+    `restarts` Halton points in start_box, both in t coordinates; encode
+    turns a neighbouring candidate's parameters into a warm start.
+    closed_form, on the families that have one, returns (params, loglik)
+    without any search.
     """
-    boxes = _Boxes(stats)
 
-    if family == "power_law":
-        def decode(t):
-            return {"alpha": 1.0 + math.exp(t[0])}
-        closed = _closed_form_power_law(stats)
-        starts = [[math.log(max(closed["alpha"] - 1.0, 1e-6))]]
-        unit = _halton(1, restarts)
-        for row in unit:
-            starts.append([math.log(1e-3) + row[0] * (math.log(3.0) - math.log(1e-3))])
-        bounds_ok = lambda p: ALPHA_LO < p["alpha"] <= ALPHA_HI
-    elif family == "exponential":
-        def decode(t):
-            return {"lambda": math.exp(t[0])}
-        starts = [[math.log(boxes.exp_lam)]]
-        unit = _halton(1, restarts)
-        lo, hi = math.log(boxes.lam_lo), math.log(boxes.lam_hi)
-        for row in unit:
-            starts.append([lo + row[0] * (hi - lo)])
-        bounds_ok = lambda p: 0 < p["lambda"] <= boxes.lam_hi
-    elif family == "trunc_power_law":
-        def decode(t):
-            return {"alpha": 1.0 + math.exp(t[0]), "lambda": math.exp(t[1])}
-        closed = _closed_form_power_law(stats)
-        a0 = min(max(closed["alpha"], 1.05), ALPHA_HI)
-        starts = [[math.log(a0 - 1.0), math.log(boxes.exp_lam)]]
-        unit = _halton(2, restarts)
-        lo, hi = math.log(boxes.lam_lo), math.log(boxes.lam_hi)
-        for row in unit:
-            starts.append([math.log(1e-2) + row[0] * (math.log(3.0) - math.log(1e-2)),
-                           lo + row[1] * (hi - lo)])
-        bounds_ok = lambda p: (ALPHA_LO < p["alpha"] <= ALPHA_HI
-                               and boxes.lam_lo <= p["lambda"] <= boxes.lam_hi)
-    elif family == "stretched_exponential":
-        # profile likelihood: lambda has a closed form at fixed beta
-        def decode(t):
-            b = math.exp(t[0])
-            s_b = float(np.exp(b * stats.log_x).sum())
-            denom = s_b - stats.n * stats.x_min ** b
-            lam = stats.n / denom if denom > 0 else boxes.lam_hi
-            lam = min(max(lam, 1e-300), 10.0 / max(stats.mean ** b, 1e-300))
-            return {"beta": b, "lambda": lam}
-        starts = [[0.0]]  # beta = 1
-        unit = _halton(1, restarts)
-        for row in unit:
-            starts.append([math.log(0.05) + row[0] * (math.log(BETA_HI) - math.log(0.05))])
-        bounds_ok = lambda p: 0 < p["beta"] <= BETA_HI and p["lambda"] > 0
-    elif family in ("lognormal", "lognormal_positive"):
-        mu_lo = 1e-12 if family == "lognormal_positive" else MU_LO
+    closed_form: Callable[[_TailStats], tuple[dict[str, float], float]] | None = None
 
-        def decode(t):
-            return {"mu": t[0], "sigma": math.exp(t[1])}
+    def first_start(self, stats: _TailStats, boxes: _Boxes) -> list[float]:
+        raise NotImplementedError
+
+    def start_box(self, boxes: _Boxes) -> list[tuple[float, float]]:
+        raise NotImplementedError
+
+    def encode(self, params: dict[str, float]) -> list[float]:
+        raise NotImplementedError
+
+    def decode(self, stats: _TailStats, boxes: _Boxes, t) -> dict[str, float]:
+        raise NotImplementedError
+
+    def objective(self, stats: _TailStats, boxes: _Boxes) -> Objective:
+        raise NotImplementedError
+
+    def starts(self, stats: _TailStats, boxes: _Boxes, restarts: int) -> list[list[float]]:
+        first = self.first_start(stats, boxes)
+        box = self.start_box(boxes)
+        return [first] + [[lo + u * (hi - lo) for u, (lo, hi) in zip(row, box)]
+                          for row in _halton(len(box), restarts).tolist()]
+
+
+def _power_law_alpha(stats: _TailStats) -> float:
+    denom = stats.sum_log - stats.n * stats.log_xmin
+    if denom <= 0:
+        raise OptimizerFailure("degenerate tail: all points at x_min")
+    return 1.0 + stats.n / denom
+
+
+def _power_law_loglik(stats: _TailStats, a: float) -> float:
+    n = stats.n
+    return n * math.log(a - 1) - n * stats.log_xmin - a * (stats.sum_log - n * stats.log_xmin)
+
+
+class _PowerLawFit(_TailFit):
+    def closed_form(self, stats):
+        a = _power_law_alpha(stats)
+        return {"alpha": a}, _power_law_loglik(stats, a)
+
+    def first_start(self, stats, boxes):
+        return [math.log(max(_power_law_alpha(stats) - 1.0, 1e-6))]
+
+    def start_box(self, boxes):
+        return [(math.log(1e-3), math.log(3.0))]
+
+    def encode(self, params):
+        return [math.log(params["alpha"] - 1.0)]
+
+    def decode(self, stats, boxes, t):
+        return {"alpha": 1.0 + math.exp(t[0])}
+
+    def objective(self, stats, boxes):
+        def objective(t):
+            try:
+                a = 1.0 + math.exp(t[0])
+                if not ALPHA_LO < a <= ALPHA_HI:
+                    return math.inf
+                ll = _power_law_loglik(stats, a)
+            except _INFEASIBLE:
+                return math.inf
+            return -ll if math.isfinite(ll) else math.inf
+        return objective
+
+
+def _exponential_loglik(stats: _TailStats, lam: float) -> float:
+    n = stats.n
+    return n * math.log(lam) - lam * (stats.sum_x - n * stats.x_min)
+
+
+class _ExponentialFit(_TailFit):
+    def closed_form(self, stats):
+        excess = stats.mean - stats.x_min
+        if excess <= 0:
+            raise OptimizerFailure("degenerate tail: all points at x_min")
+        lam = 1.0 / excess
+        return {"lambda": lam}, _exponential_loglik(stats, lam)
+
+    def first_start(self, stats, boxes):
+        return [math.log(boxes.exp_lam)]
+
+    def start_box(self, boxes):
+        return [(math.log(boxes.lam_lo), math.log(boxes.lam_hi))]
+
+    def encode(self, params):
+        return [math.log(params["lambda"])]
+
+    def decode(self, stats, boxes, t):
+        return {"lambda": math.exp(t[0])}
+
+    def objective(self, stats, boxes):
+        lam_hi = boxes.lam_hi
+
+        def objective(t):
+            try:
+                lam = math.exp(t[0])
+                if not 0 < lam <= lam_hi:
+                    return math.inf
+                ll = _exponential_loglik(stats, lam)
+            except _INFEASIBLE:
+                return math.inf
+            return -ll if math.isfinite(ll) else math.inf
+        return objective
+
+
+class _TruncPowerLawFit(_TailFit):
+    def first_start(self, stats, boxes):
+        a0 = min(max(_power_law_alpha(stats), 1.05), ALPHA_HI)
+        return [math.log(a0 - 1.0), math.log(boxes.exp_lam)]
+
+    def start_box(self, boxes):
+        return [(math.log(1e-2), math.log(3.0)),
+                (math.log(boxes.lam_lo), math.log(boxes.lam_hi))]
+
+    def encode(self, params):
+        return [math.log(params["alpha"] - 1.0), math.log(params["lambda"])]
+
+    def decode(self, stats, boxes, t):
+        return {"alpha": 1.0 + math.exp(t[0]), "lambda": math.exp(t[1])}
+
+    def objective(self, stats, boxes):
+        n, xm, sum_log, sum_x = stats.n, stats.x_min, stats.sum_log, stats.sum_x
+        lam_lo, lam_hi = boxes.lam_lo, boxes.lam_hi
+
+        def objective(t):
+            try:
+                a = 1.0 + math.exp(t[0])
+                lam = math.exp(t[1])
+                if not (ALPHA_LO < a <= ALPHA_HI and lam_lo <= lam <= lam_hi):
+                    return math.inf
+                # log C = (1-a) log l - log Gamma(1-a, l x_min)
+                log_c = (1 - a) * math.log(lam) - log_upper_gamma(1 - a, lam * xm)
+                ll = n * log_c - a * sum_log - lam * sum_x
+            except _INFEASIBLE:
+                return math.inf
+            return -ll if math.isfinite(ll) else math.inf
+        return objective
+
+
+def _stretched_profile(stats: _TailStats, boxes: _Boxes,
+                       b: float) -> tuple[float, float, float]:
+    """(lambda, sum of x^b, x_min^b) at fixed beta b: the profile likelihood
+    has a closed-form lambda, clamped to a positive finite range."""
+    s_b = float(np.exp(b * stats.log_x).sum())
+    xm_b = stats.x_min ** b
+    denom = s_b - stats.n * xm_b
+    lam = stats.n / denom if denom > 0 else boxes.lam_hi
+    lam = min(max(lam, 1e-300), 10.0 / max(stats.mean ** b, 1e-300))
+    return lam, s_b, xm_b
+
+
+class _StretchedExponentialFit(_TailFit):
+    """One free parameter, log beta; lambda is profiled out."""
+
+    def first_start(self, stats, boxes):
+        return [0.0]  # beta = 1
+
+    def start_box(self, boxes):
+        return [(math.log(0.05), math.log(BETA_HI))]
+
+    def encode(self, params):
+        return [math.log(params["beta"])]
+
+    def decode(self, stats, boxes, t):
+        b = math.exp(t[0])
+        return {"beta": b, "lambda": _stretched_profile(stats, boxes, b)[0]}
+
+    def objective(self, stats, boxes):
+        n, sum_log = stats.n, stats.sum_log
+
+        def objective(t):
+            try:
+                b = math.exp(t[0])
+                # lambda > 0 always holds: the profile clamps it
+                if not 0 < b <= BETA_HI:
+                    return math.inf
+                lam, s_b, xm_b = _stretched_profile(stats, boxes, b)
+                ll = (n * (math.log(b) + math.log(lam)) + (b - 1) * sum_log
+                      - lam * (s_b - n * xm_b))
+            except _INFEASIBLE:
+                return math.inf
+            return -ll if math.isfinite(ll) else math.inf
+        return objective
+
+
+class _LognormalFit(_TailFit):
+    """lognormal, and lognormal_positive, whose mu box starts just above 0."""
+
+    def __init__(self, positive: bool):
+        self.positive = positive
+        self.mu_lo = 1e-12 if positive else MU_LO
+
+    def first_start(self, stats, boxes):
         m0 = stats.sum_log / stats.n
         s0 = math.sqrt(max(stats.sum_log_sq / stats.n - m0 * m0, 1e-4))
-        starts = [[max(m0, mu_lo + s0) if family == "lognormal_positive" else m0,
-                   math.log(s0)]]
-        unit = _halton(2, restarts)
-        for row in unit:
-            mu_start = mu_lo + row[0] * (MU_HI - mu_lo)
-            starts.append([mu_start, math.log(0.05) + row[1] * (math.log(SIGMA_HI) - math.log(0.05))])
-        bounds_ok = lambda p: (mu_lo <= p["mu"] <= MU_HI and SIGMA_LO < p["sigma"] <= SIGMA_HI)
-    else:
-        raise InvalidParams(f"unknown family {family!r}")
+        return [max(m0, self.mu_lo + s0) if self.positive else m0, math.log(s0)]
 
+    def start_box(self, boxes):
+        return [(self.mu_lo, MU_HI), (math.log(0.05), math.log(SIGMA_HI))]
+
+    def encode(self, params):
+        return [params["mu"], math.log(params["sigma"])]
+
+    def decode(self, stats, boxes, t):
+        return {"mu": t[0], "sigma": math.exp(t[1])}
+
+    def objective(self, stats, boxes):
+        n, sum_log, sum_log_sq = stats.n, stats.sum_log, stats.sum_log_sq
+        log_xmin, mu_lo = stats.log_xmin, self.mu_lo
+        neg_sum_log = -sum_log
+        norm = 0.5 * n * math.log(2 * math.pi)
+
+        def objective(t):
+            try:
+                mu = t[0]
+                sigma = math.exp(t[1])
+                if not (mu_lo <= mu <= MU_HI and SIGMA_LO < sigma <= SIGMA_HI):
+                    return math.inf
+                z0 = (log_xmin - mu) / sigma
+                quad = sum_log_sq - 2 * mu * sum_log + n * mu * mu
+                ll = (neg_sum_log - n * math.log(sigma) - norm
+                      - quad / (2 * sigma * sigma) - n * float(log_ndtr(-z0)))
+            except _INFEASIBLE:
+                return math.inf
+            return -ll if math.isfinite(ll) else math.inf
+        return objective
+
+
+# one record per family in FAMILIES
+_TAIL_FITS: dict[str, _TailFit] = {
+    "power_law": _PowerLawFit(),
+    "trunc_power_law": _TruncPowerLawFit(),
+    "exponential": _ExponentialFit(),
+    "stretched_exponential": _StretchedExponentialFit(),
+    "lognormal": _LognormalFit(positive=False),
+    "lognormal_positive": _LognormalFit(positive=True),
+}
+
+
+def _numeric_mle(stats: _TailStats, family: str, restarts: int,
+                 warm: dict[str, float] | None = None) -> tuple[dict[str, float], float]:
+    """Derivative-free maximization of the tail log-likelihood: one
+    Nelder-Mead run from each feasible start, the warm start first."""
+    fit = _TAIL_FITS[family]
+    boxes = _Boxes(stats)
+    starts = fit.starts(stats, boxes, restarts)
     if warm is not None:
         try:
-            starts.insert(0, _encode_warm(family, warm))
+            starts.insert(0, fit.encode(warm))
         except (ValueError, KeyError):
             pass
-
-    def objective(t):
-        try:
-            p = decode(t)
-        except (OverflowError, ValueError):
-            return np.inf
-        if not bounds_ok(p):
-            return np.inf
-        try:
-            ll = stats.loglik(family, p)
-        except (InvalidParams, OverflowError, ValueError):
-            return np.inf
-        return -ll if math.isfinite(ll) else np.inf
-
-    best_params, best_ll = None, -np.inf
+    objective = fit.objective(stats, boxes)
+    best_t, best_ll = None, -math.inf
     for t0 in starts[: restarts + 2]:
         if not math.isfinite(objective(t0)):
             continue
@@ -350,37 +598,10 @@ def _numeric_mle(stats: _TailStats, family: str, restarts: int,
         if not math.isfinite(res.fun):
             continue
         if -res.fun > best_ll:
-            best_ll = -res.fun
-            best_params = decode(res.x)
-    if best_params is None:
+            best_t, best_ll = res.x, -res.fun
+    if best_t is None:
         raise OptimizerFailure(f"no start converged for {family}")
-    return best_params, best_ll
-
-
-def _encode_warm(family: str, params: dict[str, float]) -> list[float]:
-    if family == "power_law":
-        return [math.log(params["alpha"] - 1.0)]
-    if family == "exponential":
-        return [math.log(params["lambda"])]
-    if family == "trunc_power_law":
-        return [math.log(params["alpha"] - 1.0), math.log(params["lambda"])]
-    if family == "stretched_exponential":
-        return [math.log(params["beta"])]
-    return [params["mu"], math.log(params["sigma"])]
-
-
-def _closed_form_power_law(stats: _TailStats) -> dict[str, float]:
-    denom = stats.sum_log - stats.n * stats.log_xmin
-    if denom <= 0:
-        raise OptimizerFailure("degenerate tail: all points at x_min")
-    return {"alpha": 1.0 + stats.n / denom}
-
-
-def _closed_form_exponential(stats: _TailStats) -> dict[str, float]:
-    excess = stats.mean - stats.x_min
-    if excess <= 0:
-        raise OptimizerFailure("degenerate tail: all points at x_min")
-    return {"lambda": 1.0 / excess}
+    return fit.decode(stats, boxes, best_t), best_ll
 
 
 def mle_fit(data, family: str, x_min: float, *, restarts: int = DEFAULT_RESTARTS,
@@ -403,12 +624,9 @@ def mle_fit(data, family: str, x_min: float, *, restarts: int = DEFAULT_RESTARTS
     if len(tail) < min_tail:
         raise TooFewPoints(f"{len(tail)} tail points < floor {min_tail}")
     stats = _TailStats(np.sort(tail), x_min)
-    if method == "auto" and family == "power_law":
-        params = _closed_form_power_law(stats)
-        return params, stats.loglik(family, params)
-    if method == "auto" and family == "exponential":
-        params = _closed_form_exponential(stats)
-        return params, stats.loglik(family, params)
+    closed_form = _TAIL_FITS[family].closed_form
+    if method == "auto" and closed_form is not None:
+        return closed_form(stats)
     if method not in ("auto", "numeric"):
         raise InvalidParams(f"unknown method {method!r}")
     return _numeric_mle(stats, family, restarts, warm=warm)

@@ -7,9 +7,13 @@ these exist for correctness, not throughput.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .errors import InstanceTooLarge
+import numpy as np
+from scipy.special import log_ndtr
+
+from .errors import InstanceTooLarge, InvalidParams
+from .heavytail.families import log_upper_gamma
 from .graph import PldGraph
 from .mdn import CooccurrenceGraph
 
@@ -106,6 +110,45 @@ def oracle_triangles(g: PldGraph) -> np.ndarray:
                     tri[i] += 1
                     tri[j] += 1
                     tri[k] += 1
+    return tri
+
+
+def oracle_triangles_intersect(g: PldGraph) -> np.ndarray:
+    """Per-node triangle counts by one neighbourhood intersection per edge.
+
+    Edges are oriented from lower to higher degree (ties by id); each
+    triangle is found once as an out-neighbourhood intersection and
+    credited to its three corners. Quadratic at worst, so it reaches graphs
+    far beyond oracle_triangles' cap.
+    """
+    n = g.n_nodes
+    tri = np.zeros(n, dtype=np.int64)
+    keep = g.edge_src != g.edge_dst
+    lo = np.minimum(g.edge_src[keep], g.edge_dst[keep])
+    hi = np.maximum(g.edge_src[keep], g.edge_dst[keep])
+    if len(lo) == 0:
+        return tri
+    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    u, v = pairs[:, 0], pairs[:, 1]
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    rank = np.lexsort((np.arange(n), deg))
+    pos = np.empty(n, dtype=np.int64)
+    pos[rank] = np.arange(n)
+    swap = pos[u] > pos[v]
+    ou = np.where(swap, v, u)
+    ov = np.where(swap, u, v)
+    order = np.lexsort((ov, ou))
+    ou, ov = ou[order], ov[order]
+    starts = np.searchsorted(ou, np.arange(n))
+    ends = np.searchsorted(ou, np.arange(n) + 1)
+    for a, b in zip(ou.tolist(), ov.tolist()):
+        na = ov[starts[a]:ends[a]]
+        nb = ov[starts[b]:ends[b]]
+        common = np.intersect1d(na, nb, assume_unique=True)
+        if len(common):
+            tri[a] += len(common)
+            tri[b] += len(common)
+            tri[common] += 1
     return tri
 
 
@@ -211,6 +254,37 @@ def oracle_ks(data: np.ndarray, cdf) -> float:
         p = float(cdf(x))
         best = max(best, abs(below / n - p), abs(at_or_below / n - p))
     return best
+
+
+def oracle_tail_loglik(stats, family: str, params: dict[str, float]) -> float:
+    """Tail log-likelihood of one family from a parameter dict.
+
+    stats is a heavytail.fitting._TailStats. The formulas are the ones each
+    family's fused objective must reproduce bit for bit.
+    """
+    n, xm = stats.n, stats.x_min
+    if family == "power_law":
+        a = params["alpha"]
+        return n * math.log(a - 1) - n * stats.log_xmin - a * (stats.sum_log - n * stats.log_xmin)
+    if family == "trunc_power_law":
+        a, lam = params["alpha"], params["lambda"]
+        log_c = (1 - a) * math.log(lam) - log_upper_gamma(1 - a, lam * xm)
+        return n * log_c - a * stats.sum_log - lam * stats.sum_x
+    if family == "exponential":
+        lam = params["lambda"]
+        return n * math.log(lam) - lam * (stats.sum_x - n * xm)
+    if family == "stretched_exponential":
+        b, lam = params["beta"], params["lambda"]
+        s_b = float(np.exp(b * stats.log_x).sum())
+        return (n * (math.log(b) + math.log(lam)) + (b - 1) * stats.sum_log
+                - lam * (s_b - n * xm ** b))
+    if family in ("lognormal", "lognormal_positive"):
+        mu, sigma = params["mu"], params["sigma"]
+        z0 = (stats.log_xmin - mu) / sigma
+        quad = stats.sum_log_sq - 2 * mu * stats.sum_log + n * mu * mu
+        return (-stats.sum_log - n * math.log(sigma) - 0.5 * n * math.log(2 * math.pi)
+                - quad / (2 * sigma * sigma) - n * float(log_ndtr(-z0)))
+    raise InvalidParams(f"unknown family {family!r}")
 
 
 def oracle_graph_recount(page_edges: list[tuple[str, str]], pld_func) -> tuple[

@@ -23,7 +23,7 @@ from scipy.stats import rankdata
 
 from .errors import (DimensionMismatch, InputError, InvalidParams, KeyMismatch,
                      NonFiniteInput, SingleClass, TooFewPositives,
-                     UnknownFeatureSet)
+                     UnknownFeatureSet, parse_float, parse_int)
 from .graph import PldGraph
 from .metrics import NodeMetrics
 from .reputation import PldReputation
@@ -505,9 +505,20 @@ def read_features(path: str) -> FeatureMatrix:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != len(header):
                 raise InputError(f"{path}:{lineno}: expected {len(header)} fields")
+            try:
+                row = [float(v) for v in parts[1:-1]]
+                label = int(parts[-1])
+            except ValueError:
+                # name the line only once a cell fails
+                where = f"{path}:{lineno}"
+                row = [parse_float(v, where) for v in parts[1:-1]]
+                label = parse_int(parts[-1], where)
+            if label not in (0, 1):
+                raise InputError(f"{path}:{lineno}: label must be 0 or 1, "
+                                 f"got {parts[-1]!r}")
             plds.append(parts[0])
-            rows.append([float(v) for v in parts[1:-1]])
-            labels.append(int(parts[-1]))
+            rows.append(row)
+            labels.append(label)
     return FeatureMatrix(plds=plds, feature_names=names,
                          X=np.array(rows, dtype=float) if rows else np.zeros((0, len(names))),
                          labels=np.array(labels, dtype=np.int8))

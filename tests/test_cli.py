@@ -232,6 +232,30 @@ def test_features_malformed_table_is_input_error(tmp_path, capsys, table, old,
     assert f"input error: {tmp_path / message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell, new, message", [
+    (1, "x", "not a number: 'x'"),
+    (-1, "y", "not an integer: 'y'"),
+    (-1, "7", "label must be 0 or 1, got '7'"),
+], ids=["feature", "label", "label-range"])
+def test_train_malformed_feature_table_is_input_error(tmp_path, capsys, cell,
+                                                      new, message):
+    _, argv = _feature_inputs(tmp_path)
+    assert main(argv) == 0
+    features = tmp_path / "f.tsv"
+    lines = features.read_text().splitlines(keepends=True)
+    cells = lines[2].rstrip("\n").split("\t")
+    cells[cell] = new
+    lines[2] = "\t".join(cells) + "\n"
+    features.write_text("".join(lines))
+    out = {name: str(tmp_path / name) for name in ("m.json", "s.json", "e.json")}
+    assert main(["train", "--features", str(features),
+                 "--nodes", str(tmp_path / "nodes.tsv"),
+                 "--edges", str(tmp_path / "edges.tsv"),
+                 "--out-model", out["m.json"], "--out-stacked", out["s.json"],
+                 "--out-eval", out["e.json"]]) == 1
+    assert f"input error: {features}:3: {message}" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, corpus):
     # input error: malformed verdict table
     bad = tmp_path / "bad_verdicts.tsv"

@@ -138,8 +138,15 @@ _EDGES = "src_id\tdst_id\tweight\n0\t1\t3\n1\t0\t1\n"
     ("edges", "1\t0.5\t1\n", "not an integer: '0.5'"),
     ("edges", "1\t2\t1\n", "edge 1 -> 2 leaves the node ids [0, 2)"),
     ("edges", "-1\t0\t1\n", "edge -1 -> 0 leaves the node ids [0, 2)"),
+    ("nodes", "b.com\t1\t99999999999999999999\n",
+     "integer out of range: 99999999999999999999"),
+    ("edges", "1\t0\t99999999999999999999\n",
+     "integer out of range: 99999999999999999999"),
+    ("edges", "1\t-99999999999999999999\t1\n",
+     "integer out of range: -99999999999999999999"),
 ], ids=["node-fields", "edge-fields", "node-cell", "edge-cell", "edge-id-high",
-        "edge-id-negative"])
+        "edge-id-negative", "page-count-overflow", "weight-overflow",
+        "edge-id-overflow"])
 def test_read_graph_malformed_is_input_error(tmp_path, table, bad, message):
     text = {"nodes": _NODES, "edges": _EDGES}
     text[table] = text[table].rsplit("\n", 2)[0] + "\n" + bad   # bad line 3

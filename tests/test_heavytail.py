@@ -5,12 +5,16 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize as scipy_minimize
 
-from webmal.errors import InvalidParams, TooFewPoints
+from webmal.errors import InvalidParams, OptimizerFailure, TooFewPoints
 from webmal.heavytail import (FAMILY_ORDER, CandidateSet, compare, estimate_xmin,
                               ks_distance, make_distribution, mle_fit,
                               select_candidates, upper_gamma)
+from webmal.heavytail import fitting
 from webmal.heavytail.families import _CF_SWITCH
-from webmal.heavytail.fitting import minimize
+from webmal.heavytail.fitting import (ALPHA_HI, ALPHA_LO, BETA_HI, MU_HI, MU_LO,
+                                      SIGMA_HI, SIGMA_LO, _TAIL_FITS, _Boxes,
+                                      _TailStats, minimize)
+from webmal.oracles import oracle_tail_loglik
 from webmal.synthlab import sample
 
 # reference values computed with 30-digit arbitrary-precision arithmetic
@@ -138,7 +142,29 @@ def _walled(t):
     return math.inf if t[0] > 0.7 else _rosenbrock(t)
 
 
+def _infeasible(t):
+    return math.inf
+
+
+def _stepped(t):
+    # plateaus: vertices tie, so the order of the stable sort shows
+    return float(math.floor(_rosenbrock(t) if len(t) == 2 else 4 * _smooth_1d(t)))
+
+
 NM_OPTIONS = {"xatol": 1e-8, "fatol": 1e-6, "maxiter": 2000, "maxfev": 4000}
+
+# Runs cut after each maxfev in 1..40, so that some cut falls inside every
+# kind of step. The first evaluation of each kind: reflection 4 and
+# expansion 5 in both 2-d runs; _rosenbrock from (-2, 0.06): inside
+# contraction 16, outside contraction 18, shrink 22-23; _walled from
+# (-1.5, 0.1): outside contraction 18, shrink 19-20, inside contraction 24;
+# _smooth_1d: reflection 3, expansion 4, outside contraction 10, inside
+# contraction 12. An infeasible simplex shrinks at every step.
+MAXFEV_SWEEP = [(fun, x0, dict(NM_OPTIONS, maxfev=k))
+                for fun, x0 in ((_rosenbrock, [-2.0, 0.06]), (_walled, [-1.5, 0.1]),
+                                (_smooth_1d, [2.5]), (_infeasible, [0.3, -0.2]),
+                                (_infeasible, [0.3]))
+                for k in range(1, 41)]
 
 
 @pytest.mark.parametrize("fun,x0,options", [
@@ -146,9 +172,19 @@ NM_OPTIONS = {"xatol": 1e-8, "fatol": 1e-6, "maxiter": 2000, "maxfev": 4000}
     (_rosenbrock, [-1.2, 1.0], NM_OPTIONS),
     (_rosenbrock, [0.0, 0.5], NM_OPTIONS),          # zero coordinate: step 0.00025
     (_walled, [-0.8, 0.3], NM_OPTIONS),             # inf beyond t[0] = 0.7
+    (_infeasible, [0.3, -0.2], NM_OPTIONS),         # |inf - inf| is NaN: no convergence
+    (_infeasible, [0.3], NM_OPTIONS),
+    (_stepped, [-2.0, 0.06], NM_OPTIONS),
+    (_stepped, [0.0, 0.5], NM_OPTIONS),
+    (_stepped, [2.5], NM_OPTIONS),
     (_rosenbrock, [-1.2, 1.0], dict(NM_OPTIONS, maxfev=18)),  # cut mid-iteration
     (_rosenbrock, [-1.2, 1.0], dict(NM_OPTIONS, maxiter=9)),
-], ids=["smooth-1d", "smooth-2d", "zero-start", "inf-region", "maxfev", "maxiter"])
+] + MAXFEV_SWEEP, ids=["smooth-1d", "smooth-2d", "zero-start", "inf-region",
+                       "all-inf-2d", "all-inf-1d", "ties-2d", "ties-2d-zero-start",
+                       "ties-1d", "maxfev", "maxiter"]
+   + [f"{fun.__name__}-{len(x0)}d-maxfev{o['maxfev']}" for fun, x0, o in MAXFEV_SWEEP])
+# scipy's convergence test subtracts inf - inf on an infeasible simplex
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
 def test_nelder_mead_reproduces_scipy(fun, x0, options):
     ref = scipy_minimize(fun, np.asarray(x0, dtype=float), method="Nelder-Mead",
                          options=options)
@@ -160,6 +196,102 @@ def test_nelder_mead_reproduces_scipy(fun, x0, options):
         assert got.nfev == options["maxfev"]
     if options["maxiter"] < 2000:
         assert got.nit == options["maxiter"]
+
+
+def test_nelder_mead_takes_one_or_two_parameters():
+    # every tail family has one or two free parameters
+    for x0 in ([], [0.1, 0.2, 0.3]):
+        with pytest.raises(InvalidParams):
+            minimize(_infeasible, x0)
+
+
+# each family's parameter box, as a predicate on the decoded parameters
+IN_BOX = {
+    "power_law": lambda p, bx: ALPHA_LO < p["alpha"] <= ALPHA_HI,
+    "trunc_power_law": lambda p, bx: (ALPHA_LO < p["alpha"] <= ALPHA_HI
+                                      and bx.lam_lo <= p["lambda"] <= bx.lam_hi),
+    "exponential": lambda p, bx: 0 < p["lambda"] <= bx.lam_hi,
+    "stretched_exponential": lambda p, bx: 0 < p["beta"] <= BETA_HI and p["lambda"] > 0,
+    "lognormal": lambda p, bx: MU_LO <= p["mu"] <= MU_HI and SIGMA_LO < p["sigma"] <= SIGMA_HI,
+    "lognormal_positive": lambda p, bx: (1e-12 <= p["mu"] <= MU_HI
+                                         and SIGMA_LO < p["sigma"] <= SIGMA_HI),
+}
+
+
+def _reference_objective(family, stats, boxes, t):
+    """-loglik of decode(t) through the dict-based oracle; inf off the box."""
+    try:
+        params = _TAIL_FITS[family].decode(stats, boxes, t)
+    except (OverflowError, ValueError):
+        return math.inf
+    if not IN_BOX[family](params, boxes):
+        return math.inf
+    try:
+        ll = oracle_tail_loglik(stats, family, params)
+    except (InvalidParams, OverflowError, ValueError):
+        return math.inf
+    return -ll if math.isfinite(ll) else math.inf
+
+
+def _t_grid(family, boxes):
+    """Points inside and outside the box, and some whose decoding overflows."""
+    if family in ("lognormal", "lognormal_positive"):
+        mus = [-40.0, -30.0, -3.0, -1e-13, 0.0, 1e-12, 0.4, 1.7, 29.0, 30.0, 31.0]
+        return [[mu, ls] for mu in mus for ls in np.linspace(-8.0, 3.0, 12)]
+    # the log of the first parameter, covering its box and 1e3 beyond
+    first = list(np.linspace(-9.0, 2.0, 89)) + [math.log(3.0), 700.0, 800.0]
+    if family == "trunc_power_law":
+        lams = np.linspace(math.log(boxes.lam_lo) - 2.0, math.log(boxes.lam_hi) + 2.0, 15)
+        return [[t0, t1] for t0 in first for t1 in lams] + [[0.0, 800.0]]
+    if family == "exponential":
+        return [[v] for v in np.linspace(math.log(boxes.lam_lo) - 2.0,
+                                         math.log(boxes.lam_hi) + 2.0, 40)] + [[800.0]]
+    return [[v] for v in first]
+
+
+@pytest.mark.parametrize("family", FAMILY_ORDER)
+@pytest.mark.parametrize("tail, x_min", [
+    (sample("lognormal", {"mu": 0.5, "sigma": 1.2}, 1.0, 300, seed=15), 1.0),
+    (np.rint(sample("power_law", {"alpha": 2.1}, 3.0, 400, seed=16)), 3.0),
+], ids=["continuous", "integer"])
+def test_family_objective_is_the_oracle_loglik_bit_for_bit(family, tail, x_min):
+    stats = _TailStats(np.sort(tail[tail >= x_min]), x_min)
+    boxes = _Boxes(stats)
+    objective = _TAIL_FITS[family].objective(stats, boxes)
+    finite = 0
+    with np.errstate(over="ignore"):
+        for t in _t_grid(family, boxes):
+            got, want = objective(t), _reference_objective(family, stats, boxes, t)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (t, got, want)
+            finite += math.isfinite(got)
+    assert finite >= 10
+
+
+def test_select_candidates_runs_every_numeric_fit_through_minimize(monkeypatch):
+    data = sample("lognormal", {"mu": 0.8, "sigma": 1.0}, 1.0, 150, seed=17)
+    options = dict(max_candidates=8, restarts=2, scan_restarts=1)
+    plain = select_candidates(data, **options)
+    real = fitting.minimize
+    runs = []
+
+    def counted(fun, x0, **kwargs):
+        runs.append(len(x0))
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(fitting, "minimize", counted)
+    assert select_candidates(data, **options) == plain
+    assert set(runs) == {1, 2}
+
+    def infeasible(fun, x0, **kwargs):
+        return fitting.NelderMeadResult(list(x0), math.inf, 0, 0)
+
+    # with every run infeasible, only the closed-form families still fit
+    monkeypatch.setattr(fitting, "minimize", infeasible)
+    blind = select_candidates(data, **options)
+    assert {f for f, fit in blind.fits.items() if fit is not None} == {"power_law",
+                                                                      "exponential"}
+    with pytest.raises(OptimizerFailure):
+        mle_fit(data, "power_law", 1.0, method="numeric")
 
 
 def test_power_law_closed_form():

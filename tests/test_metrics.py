@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from webmal.graph import PldGraph
+from webmal.graph import PldGraph, build_pld_graph
 from webmal.metrics import (compute_node_metrics, connected_components, degrees,
                             hits, pagerank, triangle_counts)
 from webmal.oracles import (oracle_components, oracle_degrees, oracle_hits,
-                            oracle_pagerank, oracle_triangles)
+                            oracle_pagerank, oracle_triangles,
+                            oracle_triangles_intersect)
+from webmal.psl import parse_psl
+from webmal.synthlab import default_spec, plant_crawl
 
 
 def make_graph(n, edges):
@@ -142,6 +145,7 @@ def test_against_oracles_random(seed):
     assert np.array_equal(indeg, o_in)
     assert np.array_equal(outdeg, o_out)
     assert np.array_equal(triangle_counts(g), oracle_triangles(g))
+    assert np.array_equal(oracle_triangles_intersect(g), oracle_triangles(g))
     assert np.array_equal(connected_components(g), oracle_components(g))
     pr = pagerank(g, tol=1e-14, max_iter=1000)
     assert np.abs(pr.scores - oracle_pagerank(g)).max() < 1e-8
@@ -149,6 +153,16 @@ def test_against_oracles_random(seed):
     o_hub, o_auth = oracle_hits(g)
     assert np.abs(ht.hubs - o_hub).max() < 1e-6
     assert np.abs(ht.authorities - o_auth).max() < 1e-6
+
+
+def test_triangles_match_intersect_oracle_on_planted_graph():
+    # beyond the cubic oracle's reach: a planted crawl of 2,000 PLDs
+    c = plant_crawl(default_spec(seed=5, n_plds=2000))
+    g = build_pld_graph(c.edges, parse_psl(c.psl_text))
+    tri = triangle_counts(g)
+    assert tri.dtype == np.int64
+    assert tri.sum() > 0
+    assert np.array_equal(tri, oracle_triangles_intersect(g))
 
 
 def test_compute_node_metrics_assembly():
