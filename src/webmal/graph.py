@@ -8,6 +8,7 @@ node keeps the count of distinct page URLs seen for it.
 from __future__ import annotations
 
 import gzip
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -74,23 +75,26 @@ class PldGraph:
 
 
 class GraphBuilder:
-    """Accumulates page edges; mergeable so input streams can be sharded."""
+    """Accumulates page edges; resolves each URL of an ingested row to its PLD
+    once, parsing the host and consulting the host cache only on a miss."""
 
     def __init__(self, rules: SuffixRules, strict: bool = False):
         self.rules = rules
         self.strict = strict
-        self._pages: dict[str, set[str]] = {}
+        self._url_pld: dict[str, str] = {}
         self._edges: dict[tuple[str, str], int] = {}
         self._host_cache: dict[str, str] = {}
         self.skipped = 0
         self.ingested = 0
 
     def _pld(self, url: str) -> str:
-        host = _host_of(url)
-        pld = self._host_cache.get(host)
+        pld = self._url_pld.get(url)
         if pld is None:
-            pld = pld_of_host(host, self.rules, strict=self.strict)
-            self._host_cache[host] = pld
+            host = _host_of(url)
+            pld = self._host_cache.get(host)
+            if pld is None:
+                pld = pld_of_host(host, self.rules, strict=self.strict)
+                self._host_cache[host] = pld
         return pld
 
     def add(self, src_url: str, dst_url: str) -> bool:
@@ -101,28 +105,21 @@ class GraphBuilder:
         except InputError:
             self.skipped += 1
             return False
-        self._pages.setdefault(s, set()).add(src_url)
-        self._pages.setdefault(d, set()).add(dst_url)
+        # stored once both ends resolve: a URL seen only in skipped rows is no page
+        self._url_pld[src_url] = s
+        self._url_pld[dst_url] = d
         key = (s, d)
         self._edges[key] = self._edges.get(key, 0) + 1
         self.ingested += 1
         return True
 
-    def merge(self, other: "GraphBuilder") -> "GraphBuilder":
-        for pld, pages in other._pages.items():
-            self._pages.setdefault(pld, set()).update(pages)
-        for key, w in other._edges.items():
-            self._edges[key] = self._edges.get(key, 0) + w
-        self.skipped += other.skipped
-        self.ingested += other.ingested
-        return self
-
     def build(self) -> PldGraph:
         if not self._edges:
             raise EmptyInput("no valid page edges ingested")
-        plds = sorted(self._pages)
+        pages = Counter(self._url_pld.values())
+        plds = sorted(pages)
         index = {p: i for i, p in enumerate(plds)}
-        page_counts = np.array([len(self._pages[p]) for p in plds], dtype=np.int64)
+        page_counts = np.array([pages[p] for p in plds], dtype=np.int64)
         items = sorted((index[s], index[d], w) for (s, d), w in self._edges.items())
         src = np.array([it[0] for it in items], dtype=np.int64)
         dst = np.array([it[1] for it in items], dtype=np.int64)

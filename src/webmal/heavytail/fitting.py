@@ -362,10 +362,7 @@ class _TailFit:
 
 
 def _power_law_alpha(stats: _TailStats) -> float:
-    denom = stats.sum_log - stats.n * stats.log_xmin
-    if denom <= 0:
-        raise OptimizerFailure("degenerate tail: all points at x_min")
-    return 1.0 + stats.n / denom
+    return 1.0 + stats.n / (stats.sum_log - stats.n * stats.log_xmin)
 
 
 def _power_law_loglik(stats: _TailStats, a: float) -> float:
@@ -612,6 +609,7 @@ def mle_fit(data, family: str, x_min: float, *, restarts: int = DEFAULT_RESTARTS
     Power law and exponential have closed-form estimators (used when method
     is "auto"); everything else is maximized numerically. method="numeric"
     forces the numerical path for any family. Returns (params, loglik).
+    A tail whose points all equal x_min raises OptimizerFailure.
     """
     if family not in FAMILIES:
         raise InvalidParams(f"unknown family {family!r}")
@@ -624,6 +622,9 @@ def mle_fit(data, family: str, x_min: float, *, restarts: int = DEFAULT_RESTARTS
     if len(tail) < min_tail:
         raise TooFewPoints(f"{len(tail)} tail points < floor {min_tail}")
     stats = _TailStats(np.sort(tail), x_min)
+    # no spread in log x: every point at x_min, up to rounding
+    if stats.sum_log - stats.n * stats.log_xmin <= 0:
+        raise OptimizerFailure("degenerate tail: all points at x_min")
     closed_form = _TAIL_FITS[family].closed_form
     if method == "auto" and closed_form is not None:
         return closed_form(stats)
@@ -654,14 +655,14 @@ def _candidate_xmins(values: np.ndarray, max_candidates: int) -> np.ndarray:
 
 
 def estimate_xmin(data, family: str, *, min_points: int = 50, min_tail: int = 10,
-                  max_candidates: int = 200, restarts: int = DEFAULT_RESTARTS,
-                  scan_restarts: int = 2) -> FitResult:
+                  max_candidates: int = 200, restarts: int = DEFAULT_RESTARTS) -> FitResult:
     """Joint x_min and parameter estimate minimizing the tail KS distance.
 
     Candidates are the unique data values (subsampled evenly to at most
-    max_candidates); each candidate is fit with a cheaper multi-start budget
-    plus a warm start carried along the scan, and the winning x_min gets a
-    final full-budget refit. Ties in D go to the smaller x_min.
+    max_candidates). The scan is warm-started: each candidate is fit only
+    from the previous candidate's parameters and the family's first start.
+    The winning x_min then gets a full-budget refit. Ties in D go to the
+    smaller x_min.
     """
     x = np.sort(np.asarray(data, dtype=float))
     if len(x) < min_points:
@@ -677,7 +678,7 @@ def estimate_xmin(data, family: str, *, min_points: int = 50, min_tail: int = 10
         if len(tail) < min_tail:
             break  # tails only shrink from here
         try:
-            params, _ = mle_fit(tail, family, float(xm), restarts=scan_restarts,
+            params, _ = mle_fit(tail, family, float(xm), restarts=0,
                                 min_tail=min_tail, warm=warm)
             dist = make_distribution(family, params, float(xm))
             d = ks_distance(tail, dist)
@@ -734,7 +735,7 @@ _N_PARAMS = {tag: len(spec.param_names) for tag, spec in FAMILIES.items()}
 def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
                       min_points: int = 50, min_tail: int = 10,
                       max_candidates: int = 200, restarts: int = DEFAULT_RESTARTS,
-                      scan_restarts: int = 2, significance: float = SIGNIFICANCE,
+                      significance: float = SIGNIFICANCE,
                       superset_selection: str | None = None) -> CandidateSet:
     """Fit every family, eliminate pairwise, and pick a surviving family.
 
@@ -753,9 +754,8 @@ def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
     comparisons: list[ComparisonResult] = []
     for tag in families:
         try:
-            fits[tag] = estimate_xmin(data, tag, min_points=min_points,
-                                      min_tail=min_tail, max_candidates=max_candidates,
-                                      restarts=restarts, scan_restarts=scan_restarts)
+            fits[tag] = estimate_xmin(data, tag, min_points=min_points, min_tail=min_tail,
+                                      max_candidates=max_candidates, restarts=restarts)
         except (NoValidCandidate, OptimizerFailure, TooFewPoints):
             fits[tag] = None
             eliminated_by[tag].append("unfit")

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from webmal.errors import EmptyInput, InputError
-from webmal.graph import (GraphBuilder, build_from_file, build_pld_graph,
-                          read_graph, write_graph)
+from webmal import graph
+from webmal.graph import build_from_file, build_pld_graph, read_graph, write_graph
 from webmal.oracles import oracle_graph_recount
 from webmal.psl import parse_psl, extract_pld
 
@@ -75,26 +75,6 @@ def test_empty_input_raises():
         build_pld_graph([("bad", "bad")], RULES)
 
 
-def test_builder_merge_matches_single_pass():
-    rows = [
-        (f"http://h{i % 11}.com/p{i}", f"http://h{(i * 3) % 11}.com/p{i + 1}")
-        for i in range(200)
-    ]
-    whole = GraphBuilder(RULES)
-    for s, d in rows:
-        whole.add(s, d)
-    left, right = GraphBuilder(RULES), GraphBuilder(RULES)
-    for s, d in rows[:90]:
-        left.add(s, d)
-    for s, d in rows[90:]:
-        right.add(s, d)
-    merged = left.merge(right).build()
-    g = whole.build()
-    assert merged.plds == g.plds
-    assert np.array_equal(merged.page_counts, g.page_counts)
-    assert merged.edge_dict() == g.edge_dict()
-
-
 def _random_stream(n, seed):
     rng = random.Random(seed)
     hosts = [f"h{i}.com" for i in range(40)] + [f"sub{i}.h{i % 40}.com" for i in range(20)]
@@ -106,14 +86,53 @@ def _random_stream(n, seed):
     return rows
 
 
+_BAD_ENDPOINTS = ("http://192.168.0.1/x", "http://[2001:db8::1]/x", "nonsense")
+
+
+def _with_skipped_rows(rows, seed):
+    """rows, plus rows whose good endpoint appears nowhere else and whose
+    other endpoint, the source or the destination in turn, yields no PLD."""
+    rng = random.Random(seed)
+    out = list(rows)
+    for i in range(60):
+        lone = f"http://lone{i}.h{i % 40}.com/only-here"
+        bad = _BAD_ENDPOINTS[i % 3]
+        row = (lone, bad) if i % 2 else (bad, lone)
+        out.insert(rng.randrange(len(out) + 1), row)
+    return out
+
+
 def test_against_recount_oracle():
-    rows = _random_stream(5000, seed=3)
+    rows = _with_skipped_rows(_random_stream(5000, seed=3), seed=4)
     g = build_pld_graph(rows, RULES)
+    assert g.skipped_rows == 60
     pages, edges = oracle_graph_recount(rows, lambda u: extract_pld(u, RULES))
     assert {p: int(c) for p, c in zip(g.plds, g.page_counts)} == pages
     named = {(g.plds[s], g.plds[d]): int(w) for (s, d), w in g.edge_dict().items()}
     assert named == edges
-    assert int(g.edge_weight.sum()) == len(rows)
+    assert int(g.edge_weight.sum()) == len(rows) - 60
+
+
+def test_each_url_is_parsed_once(monkeypatch):
+    # a row linking a new URL to itself would resolve it twice, once per end
+    good = [(s, d) for s, d in _random_stream(2000, seed=9) if s != d]
+    # in a skipped row the good source resolves, then the bad destination
+    # fails; neither is stored, and both are parsed
+    skipped = [(f"http://lone{i}.com/x", _BAD_ENDPOINTS[i % 3]) for i in range(30)]
+    rows = good[:1000] + skipped + good[1000:]
+    real = graph._host_of
+    calls = []
+
+    def counted(url):
+        calls.append(url)
+        return real(url)
+
+    monkeypatch.setattr(graph, "_host_of", counted)
+    g = build_pld_graph(rows, RULES)
+    assert g.skipped_rows == len(skipped)
+    distinct = {u for row in good for u in row}
+    assert len(calls) == len(distinct) + 2 * len(skipped)
+    assert int(g.page_counts.sum()) == len(distinct)
 
 
 def test_tsv_roundtrip(tmp_path):

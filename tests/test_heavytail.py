@@ -269,7 +269,7 @@ def test_family_objective_is_the_oracle_loglik_bit_for_bit(family, tail, x_min):
 
 def test_select_candidates_runs_every_numeric_fit_through_minimize(monkeypatch):
     data = sample("lognormal", {"mu": 0.8, "sigma": 1.0}, 1.0, 150, seed=17)
-    options = dict(max_candidates=8, restarts=2, scan_restarts=1)
+    options = dict(max_candidates=8, restarts=2)
     plain = select_candidates(data, **options)
     real = fitting.minimize
     runs = []
@@ -292,6 +292,46 @@ def test_select_candidates_runs_every_numeric_fit_through_minimize(monkeypatch):
                                                                       "exponential"}
     with pytest.raises(OptimizerFailure):
         mle_fit(data, "power_law", 1.0, method="numeric")
+
+
+def test_xmin_scan_is_warm_only_and_the_refit_has_the_full_budget(monkeypatch):
+    data = sample("lognormal", {"mu": 0.8, "sigma": 1.0}, 1.0, 150, seed=17)
+    restarts = 4
+    n_candidates = len(fitting._candidate_xmins(np.sort(data), 8))
+    real = fitting.minimize
+    runs = []
+
+    def counted(fun, x0, **kwargs):
+        runs.append(x0)
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(fitting, "minimize", counted)
+    estimate_xmin(data, "lognormal", max_candidates=8, restarts=restarts)
+    # at most two runs per candidate (the warm start and the first start),
+    # and at most restarts + 2 for the winner's full-budget refit
+    assert restarts + 2 < len(runs) <= 2 * n_candidates + restarts + 2
+
+
+@pytest.mark.parametrize("family", FAMILY_ORDER)
+@pytest.mark.parametrize("method", ["auto", "numeric"])
+@pytest.mark.parametrize("tail", [
+    np.full(20, 5.0),
+    np.append(np.full(19, 5.0), np.nextafter(5.0, 6.0)),  # no spread in log x
+], ids=["equal", "one-ulp-above"])
+def test_tail_all_at_xmin_is_an_optimizer_failure(family, method, tail):
+    with pytest.raises(OptimizerFailure, match="all points at x_min"):
+        mle_fit(tail, family, 5.0, method=method)
+
+
+def test_capped_top_value_does_not_escape_select_candidates():
+    # the largest value repeats min_tail times, so the scan meets a tail
+    # whose points all equal its x_min
+    rng = np.random.default_rng(0)
+    data = np.concatenate([np.floor(rng.pareto(1.0, 150) + 1), np.full(10, 7000.0)])
+    result = select_candidates(data)
+    assert isinstance(result, CandidateSet)
+    for fit in result.fits.values():
+        assert fit is None or fit.x_min < 7000.0
 
 
 def test_power_law_closed_form():
