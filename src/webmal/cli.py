@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .errors import ConfigError, InputError, NumericalError, WebmalError
 
 
@@ -84,23 +82,21 @@ def cmd_score(args) -> None:
 def cmd_dga(args) -> None:
     from .dga import read_table
     from .pipeline import score_names
+    from .tables import read_table as read_tsv
     table = read_table(args.table) if args.table else None
-    with open(args.names, encoding="utf-8") as fh:
-        names = [line.strip() for line in fh if line.strip()]
+    names = [n.strip() for n in read_tsv(args.names, None, (str,))[0] if n.strip()]
     score_names(names, args.out, table=table)
     print(f"{len(names)} names scored -> {args.out}")
 
 
 def cmd_fit(args) -> None:
-    from .errors import parse_float
     from .pipeline import fit_values, write_json
-    with open(args.values, encoding="utf-8") as fh:
-        values = [parse_float(line, f"{args.values}:{lineno}")
-                  for lineno, line in enumerate(fh, 1) if line.strip()]
+    from .tables import read_table
+    (values,) = read_table(args.values, None, (float,))
     params = {"restarts": args.restarts}
     if args.families:
         params["families"] = tuple(f.strip() for f in args.families.split(","))
-    payload = fit_values(np.array(values), **params)
+    payload = fit_values(values, **params)
     write_json(payload, args.out)
     print(f"selection: {payload['selection']} ({payload['flag']}) -> {args.out}")
 

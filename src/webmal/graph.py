@@ -7,7 +7,6 @@ node keeps the count of distinct page URLs seen for it.
 
 from __future__ import annotations
 
-import gzip
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -15,10 +14,9 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptyInput, InputError, WebmalError, parse_int
-from .psl import SuffixRules, extract_pld, pld_of_host, _host_of
-
-_INT64 = np.iinfo(np.int64)
+from .errors import EmptyInput, InputError
+from .psl import SuffixRules, pld_of_host, _host_of
+from .tables import open_text, read_table, where
 
 
 @dataclass
@@ -101,7 +99,7 @@ class GraphBuilder:
         """Ingest one page link; returns False when the row is skipped."""
         try:
             s = self._pld(src_url)
-            d = self._pld(dst_url)
+            d = s if dst_url == src_url else self._pld(dst_url)
         except InputError:
             self.skipped += 1
             return False
@@ -142,8 +140,7 @@ def build_pld_graph(page_edges: Iterable[tuple[str, str]], rules: SuffixRules,
 
 def iter_edge_file(path: str) -> Iterator[tuple[str, str]]:
     """Yield URL pairs from a TSV file (src<TAB>dst), gzip-aware."""
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line:
@@ -174,65 +171,19 @@ def write_graph(g: PldGraph, node_path: str, edge_path: str) -> None:
             fh.write(f"{s}\t{d}\t{w}\n")
 
 
-def _table_rows(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """(lineno, cells) for each row after `header`; a row with another
-    number of cells raises InputError."""
-    with open(path, encoding="utf-8") as fh:
-        expected = "\t".join(header)
-        if fh.readline().rstrip("\n") != expected:
-            raise InputError(f"{path}:1: expected header {expected!r}")
-        for lineno, line in enumerate(fh, 2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                raise InputError(f"{path}:{lineno}: expected {len(header)} "
-                                 f"fields, got {len(parts)}")
-            yield lineno, parts
-
-
 def read_graph(node_path: str, edge_path: str) -> PldGraph:
-    plds: list[str] = []
-    counts: list[int] = []
-    for lineno, (pld, node_id, page_count) in _table_rows(node_path, NODE_HEADER):
-        where = f"{node_path}:{lineno}"
-        if parse_int(node_id, where) != len(plds):
-            raise InputError(f"{where}: non-dense node id {node_id!r}")
-        plds.append(pld)
-        counts.append(parse_int(page_count, where))
-    src: list[int] = []
-    dst: list[int] = []
-    weight: list[int] = []
-    for lineno, (s, d, w) in _table_rows(edge_path, EDGE_HEADER):
-        try:
-            src.append(int(s))
-            dst.append(int(d))
-            weight.append(int(w))
-        except ValueError:
-            # the edge table is large: name the line only once a cell fails
-            where = f"{edge_path}:{lineno}"
-            s, d, w = (parse_int(c, where) for c in (s, d, w))
-    (counts_arr,) = _int64_rows(node_path, counts)
-    edges = _int64_rows(edge_path, src, dst, weight)
-    ends = edges[:2]
-    outside = ((ends < 0) | (ends >= len(plds))).any(axis=0)
+    plds, node_ids, counts = read_table(node_path, NODE_HEADER, (str, int, int))
+    dense = node_ids == np.arange(len(plds))
+    if not dense.all():
+        i = int(dense.argmin())
+        raise InputError(f"{where(node_path, NODE_HEADER, i)}: non-dense node id "
+                         f"{str(node_ids[i])!r}")
+    src, dst, weight = read_table(edge_path, EDGE_HEADER, (int, int, int))
+    outside = (src < 0) | (src >= len(plds)) | (dst < 0) | (dst >= len(plds))
     if outside.any():
         i = int(outside.argmax())
-        raise InputError(f"{edge_path}:{i + 2}: edge {ends[0, i]} -> {ends[1, i]} "
-                         f"leaves the node ids [0, {len(plds)})")
-    if not src:
+        raise InputError(f"{where(edge_path, EDGE_HEADER, i)}: edge {src[i]} -> "
+                         f"{dst[i]} leaves the node ids [0, {len(plds)})")
+    if not len(src):
         raise EmptyInput(f"no edges in {edge_path}")
-    return PldGraph(plds, counts_arr, edges[0], edges[1], edges[2])
-
-
-def _int64_rows(path: str, *columns: list[int]) -> np.ndarray:
-    """The columns of a table as the rows of one int64 array.
-
-    A cell outside the int64 range raises InputError naming its line;
-    _table_rows skips no line, so table row i is line i + 2.
-    """
-    try:
-        return np.array(columns, dtype=np.int64).reshape(len(columns), -1)
-    except OverflowError:
-        lo, hi = _INT64.min, _INT64.max
-        i, x = next((i, x) for i, row in enumerate(zip(*columns))
-                    for x in row if not lo <= x <= hi)
-        raise InputError(f"{path}:{i + 2}: integer out of range: {x}") from None
+    return PldGraph(plds, counts, src, dst, weight)

@@ -588,7 +588,7 @@ def _numeric_mle(stats: _TailStats, family: str, restarts: int,
             pass
     objective = fit.objective(stats, boxes)
     best_t, best_ll = None, -math.inf
-    for t0 in starts[: restarts + 2]:
+    for t0 in starts:
         if not math.isfinite(objective(t0)):
             continue
         res = minimize(objective, t0)
@@ -735,17 +735,15 @@ _N_PARAMS = {tag: len(spec.param_names) for tag, spec in FAMILIES.items()}
 def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
                       min_points: int = 50, min_tail: int = 10,
                       max_candidates: int = 200, restarts: int = DEFAULT_RESTARTS,
-                      significance: float = SIGNIFICANCE,
-                      superset_selection: str | None = None) -> CandidateSet:
+                      significance: float = SIGNIFICANCE) -> CandidateSet:
     """Fit every family, eliminate pairwise, and pick a surviving family.
 
     A family survives unless some comparison beats it decisively, whether it
     lost on its own fitted tail or as the refit competitor on another
     family's tail (the ratio seen from the loser's side is R < 0 either
     way). A unique survivor is flagged "unique". Among multiple survivors
-    the tie-break prefers (a) the family selected on a declared superset
-    population when given, then (b) the family with fewer parameters, then
-    (c) drops lognormal survivors with non-positive location; an unresolved
+    the tie-break prefers (a) the family with fewer parameters, then (b)
+    drops lognormal survivors with non-positive location; an unresolved
     tie reports all survivors and selects none ("judged" marks any
     tie-broken selection).
     """
@@ -785,16 +783,13 @@ def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
     if len(candidates) == 1:
         selection, flag = candidates[0], "unique"
     elif len(candidates) > 1:
-        if superset_selection in candidates:
-            selection, flag = superset_selection, "judged"
+        fewest = min(_N_PARAMS[t] for t in candidates)
+        small = [t for t in candidates if _N_PARAMS[t] == fewest]
+        if len(small) == 1:
+            selection, flag = small[0], "judged"
         else:
-            fewest = min(_N_PARAMS[t] for t in candidates)
-            small = [t for t in candidates if _N_PARAMS[t] == fewest]
-            if len(small) == 1:
-                selection, flag = small[0], "judged"
-            else:
-                positive = [t for t in candidates
-                            if not (t == "lognormal" and fits[t].params["mu"] <= 0)]
-                if len(positive) == 1:
-                    selection, flag = positive[0], "judged"
+            positive = [t for t in candidates
+                        if not (t == "lognormal" and fits[t].params["mu"] <= 0)]
+            if len(positive) == 1:
+                selection, flag = positive[0], "judged"
     return CandidateSet(fits, eliminated_by, candidates, selection, flag, comparisons)

@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Mapping
 
 from .errors import EmptyInput, InputError
+from .tables import read_table, where
 
 
 @dataclass(frozen=True)
@@ -139,27 +140,13 @@ def write_cooccurrence(g: CooccurrenceGraph, edge_path: str, sets_path: str) -> 
 
 def read_cooccurrence(edge_path: str, sets_path: str) -> CooccurrenceGraph:
     sets: dict[str, set[str]] = {}
-    with open(sets_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise InputError(f"{sets_path}:{lineno}: expected 2 fields")
-            sets.setdefault(parts[0], set()).add(parts[1])
+    for pld, file_hash in zip(*read_table(sets_path, None, (str, str))):
+        sets.setdefault(pld, set()).add(file_hash)
     g = build_cooccurrence(sets)
-    with open(edge_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise InputError(f"{edge_path}:{lineno}: expected 3 fields")
-            key = (parts[0], parts[1])
-            if key not in g.edges:
-                raise InputError(f"{edge_path}:{lineno}: edge absent from file sets")
+    a, b, _ = read_table(edge_path, None, (str, str, float))
+    for i, key in enumerate(zip(a, b)):
+        if key not in g.edges:
+            raise InputError(f"{where(edge_path, None, i)}: edge absent from file sets")
     return g
 
 

@@ -15,8 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cs_components
 
-from .errors import InputError, parse_float
+from .errors import InputError
 from .graph import PldGraph
+from .tables import read_table, where
 
 log = logging.getLogger(__name__)
 
@@ -205,26 +206,29 @@ def compute_node_metrics(g: PldGraph, damping: float = 0.85,
     )
 
 
+METRICS_HEADER = ("pld", "indeg", "outdeg", "total", "pagerank", "hub", "auth",
+                  "triangles", "pages")
+
+
 def write_metrics(m: NodeMetrics, path: str) -> None:
     pages = m.num_pages if m.num_pages is not None else np.zeros(len(m.plds), np.int64)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("pld\tindeg\toutdeg\ttotal\tpagerank\thub\tauth\ttriangles\tpages\n")
+        fh.write("\t".join(METRICS_HEADER) + "\n")
         for i, pld in enumerate(m.plds):
             fh.write(f"{pld}\t{m.indegree[i]}\t{m.outdegree[i]}\t{m.total_degree[i]}\t"
                      f"{float(m.pagerank[i])!r}\t{float(m.hub[i])!r}\t"
                      f"{float(m.authority[i])!r}\t{m.triangles[i]}\t{pages[i]}\n")
 
 
-def read_metrics(path: str) -> dict[str, dict[str, float]]:
-    out: dict[str, dict[str, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        for lineno, line in enumerate(fh, 2):
-            parts = line.rstrip("\n").split("\t")
-            where = f"{path}:{lineno}"
-            if len(parts) != len(header):
-                raise InputError(f"{where}: expected {len(header)} fields, "
-                                 f"got {len(parts)}")
-            out[parts[0]] = {k: parse_float(x, where)
-                             for k, x in zip(header[1:], parts[1:])}
-    return out
+def read_metrics(path: str) -> NodeMetrics:
+    plds, indeg, outdeg, total, pr, hub, auth, tri, pages = read_table(
+        path, METRICS_HEADER, (str, int, int, int, float, float, float, int, int))
+    seen: set[str] = set()
+    for i, pld in enumerate(plds):
+        if pld in seen:
+            raise InputError(f"{where(path, METRICS_HEADER, i)}: duplicate row "
+                             f"for {pld!r}")
+        seen.add(pld)
+    return NodeMetrics(plds=plds, indegree=indeg, outdegree=outdeg,
+                       total_degree=total, pagerank=pr, hub=hub, authority=auth,
+                       triangles=tri, num_pages=pages)

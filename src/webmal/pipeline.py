@@ -26,25 +26,26 @@ from .binning import fibonacci_bins
 from .dga import (FreqTable, load_default_table, read_dga_scores,
                   score_pld_name, write_dga_scores)
 from .errors import ConfigError, WebmalError
-from .graph import PldGraph, build_from_file, read_graph, write_graph
+from .graph import (NODE_HEADER, PldGraph, build_from_file, read_graph,
+                    write_graph)
 from .heavytail import select_candidates
 from .mdn import (CooccurrenceGraph, build_cooccurrence, mdn_components,
                   read_cooccurrence, write_cooccurrence)
 from .metrics import NodeMetrics, compute_node_metrics, read_metrics, write_metrics
-from .predict import (FEATURE_SETS, METRIC_COLUMNS, ExperimentResult,
-                      FeatureMatrix, assemble_features, feature_importance,
+from .predict import (FEATURE_SETS, ExperimentResult, FeatureMatrix,
+                      assemble_features, feature_importance, metric_column,
                       read_alexa, read_features, run_stacked_experiment,
                       write_features, write_model)
 from .psl import load_psl
 from .reputation import (PldReputation, malicious_file_sets, read_observations,
                          read_reputation, read_verdicts, score_plds,
                          write_reputation)
+from .tables import read_table
 
 WORKERS_ENV = "WEBMAL_WORKERS"
 
-# metrics-table column behind each fittable (count) feature name
-FIT_COLUMNS = {f: METRIC_COLUMNS[f] for f in
-               ("num_pages", "indegree", "outdegree", "total_degree", "triangles")}
+# the metrics-table features that hold counts, and so can be fitted
+FIT_FEATURES = ("num_pages", "indegree", "outdegree", "total_degree", "triangles")
 
 
 def _env_workers() -> int:
@@ -108,7 +109,7 @@ class RunConfig:
             raise ConfigError("threshold must be in [0,1]")
         if self.feature_set not in FEATURE_SETS:
             raise ConfigError(f"unknown feature set {self.feature_set!r}")
-        bad = [f for f in self.fit_features if f not in FIT_COLUMNS]
+        bad = [f for f in self.fit_features if f not in FIT_FEATURES]
         if bad:
             raise ConfigError(f"cannot fit non-count feature {bad[0]!r}")
         if self.fit_max_n < self.fit_min_points:
@@ -315,9 +316,7 @@ def _stage_reputation(cfg: RunConfig, paths: dict) -> None:
 
 
 def _stage_dga(cfg: RunConfig, paths: dict) -> None:
-    with open(paths["graph_nodes.tsv"], encoding="utf-8") as fh:
-        fh.readline()
-        plds = [line.split("\t", 1)[0] for line in fh if line.strip()]
+    plds = read_table(paths["graph_nodes.tsv"], NODE_HEADER, (str, int, int))[0]
     score_names(plds, paths["dga.tsv"])
 
 
@@ -340,23 +339,16 @@ def _fit_unit(args: tuple) -> tuple[str, str, dict]:
 
 
 def _stage_fits(cfg: RunConfig, paths: dict) -> None:
-    mrows = read_metrics(paths["metrics.tsv"])
-    reps = read_reputation(paths["reputation.tsv"])
-    label = {r.pld: r.dichotomy for r in reps}
+    metrics = read_metrics(paths["metrics.tsv"])
+    label = {r.pld: r.dichotomy for r in read_reputation(paths["reputation.tsv"])}
+    pops = np.array([label.get(pld, "") for pld in metrics.plds], dtype=str)
     units = []
     for feature in cfg.fit_features:
-        col = FIT_COLUMNS[feature]
-        series = {"all": [], "clean": [], "malicious": []}
-        for pld, row in mrows.items():
-            v = float(row[col])
-            series["all"].append(v)
-            pop = label.get(pld)
-            if pop == "malicious":
-                series["malicious"].append(v)
-            elif pop == "clean":
-                series["clean"].append(v)
-        for population, vals in series.items():
-            data = _subsample_sorted(np.asarray(vals, dtype=float), cfg.fit_max_n)
+        vals = metric_column(metrics, feature)
+        series = {"all": vals, "clean": vals[pops == "clean"],
+                  "malicious": vals[pops == "malicious"]}
+        for population, pop_vals in series.items():
+            data = _subsample_sorted(pop_vals, cfg.fit_max_n)
             units.append((feature, population, data, cfg.fit_restarts,
                           cfg.fit_min_points))
     if cfg.workers > 1 and len(units) > 1:
@@ -516,6 +508,8 @@ def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> Ru
             "config": stage_cfg,
             "outputs": {name: sha(paths[name]) for name in stage.outputs},
         }
+        # persisted now, so an interrupt later does not forget this stage
+        write_json(manifest, manifest_path)
         executed.append(stage.name)
         if log:
             log(f"stage {stage.name}: done")

@@ -23,10 +23,11 @@ from scipy.stats import rankdata
 
 from .errors import (DimensionMismatch, InputError, InvalidParams, KeyMismatch,
                      NonFiniteInput, SingleClass, TooFewPositives,
-                     UnknownFeatureSet, parse_float, parse_int)
+                     UnknownFeatureSet)
 from .graph import PldGraph
 from .metrics import NodeMetrics
 from .reputation import PldReputation
+from .tables import read_header, read_table, where
 
 ALEXA_SENTINEL_RANK = 1_000_001
 ALEXA_TOP = 1_000_000
@@ -41,11 +42,11 @@ FEATURE_SETS: dict[str, tuple[str, ...]] = {
 FEATURE_SETS["all"] = (FEATURE_SETS["centrality"] + FEATURE_SETS["domain"]
                        + FEATURE_SETS["graph"] + FEATURE_SETS["alexa"])
 
-# metrics-table column behind each feature read from it
-METRIC_COLUMNS = {"authority": "auth", "hubs": "hub", "pagerank": "pagerank",
-                  "total_degree": "total", "indegree": "indeg",
-                  "outdegree": "outdeg", "triangles": "triangles",
-                  "num_pages": "pages"}
+# NodeMetrics array behind each feature read from it
+METRIC_COLUMNS = {"authority": "authority", "hubs": "hub", "pagerank": "pagerank",
+                  "total_degree": "total_degree", "indegree": "indegree",
+                  "outdegree": "outdegree", "triangles": "triangles",
+                  "num_pages": "num_pages"}
 
 
 @dataclass
@@ -70,21 +71,10 @@ class FeatureMatrix:
                              norm_mean=None, norm_std=None)
 
 
-def _metric_rows(metrics) -> dict[str, dict[str, float]]:
-    if isinstance(metrics, NodeMetrics):
-        pages = (metrics.num_pages if metrics.num_pages is not None
-                 else np.zeros(len(metrics.plds)))
-        return {pld: {
-            "indeg": float(metrics.indegree[i]),
-            "outdeg": float(metrics.outdegree[i]),
-            "total": float(metrics.total_degree[i]),
-            "pagerank": float(metrics.pagerank[i]),
-            "hub": float(metrics.hub[i]),
-            "auth": float(metrics.authority[i]),
-            "triangles": float(metrics.triangles[i]),
-            "pages": float(pages[i]),
-        } for i, pld in enumerate(metrics.plds)}
-    return {pld: dict(row) for pld, row in metrics.items()}
+def metric_column(metrics: NodeMetrics, feature: str) -> np.ndarray:
+    """The float64 values of a metrics-table feature, in metrics.plds order."""
+    col = getattr(metrics, METRIC_COLUMNS[feature])
+    return np.zeros(len(metrics.plds)) if col is None else col.astype(float)
 
 
 def _rep_rows(reputation) -> dict[str, PldReputation]:
@@ -93,7 +83,8 @@ def _rep_rows(reputation) -> dict[str, PldReputation]:
     return {r.pld: r for r in reputation}
 
 
-def assemble_features(metrics, reputation, dga_scores: Mapping[str, float],
+def assemble_features(metrics: NodeMetrics, reputation,
+                      dga_scores: Mapping[str, float],
                       alexa: Mapping[str, int], feature_set: str = "all",
                       normalize: bool = False) -> FeatureMatrix:
     """Join the per-PLD tables into one named feature matrix.
@@ -106,9 +97,9 @@ def assemble_features(metrics, reputation, dga_scores: Mapping[str, float],
     if feature_set not in FEATURE_SETS:
         raise UnknownFeatureSet(f"unknown feature set {feature_set!r}")
     names = FEATURE_SETS[feature_set]
-    mrows = _metric_rows(metrics)
     rrows = _rep_rows(reputation)
-    plds = sorted(mrows)
+    order = sorted(range(len(metrics.plds)), key=metrics.plds.__getitem__)
+    plds = [metrics.plds[i] for i in order]
     missing = [p for p in plds if p not in rrows]
     if missing:
         raise KeyMismatch(f"no reputation row for {missing[0]!r} "
@@ -122,10 +113,9 @@ def assemble_features(metrics, reputation, dga_scores: Mapping[str, float],
 
     cols: dict[str, np.ndarray] = {}
     n = len(plds)
-    get = lambda key: np.array([mrows[p][key] for p in plds], dtype=float)
     for name in names:
         if name in METRIC_COLUMNS:
-            cols[name] = get(METRIC_COLUMNS[name])
+            cols[name] = metric_column(metrics, name)[order]
         elif name == "total_files":
             cols[name] = np.array([rrows[p].total for p in plds], dtype=float)
         elif name == "unique_files":
@@ -493,58 +483,32 @@ def write_features(fm: FeatureMatrix, path: str) -> None:
 
 
 def read_features(path: str) -> FeatureMatrix:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if len(header) < 3 or header[0] != "pld" or header[-1] != "label":
-            raise InputError(f"unexpected feature table header in {path}")
-        names = tuple(header[1:-1])
-        plds: list[str] = []
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                raise InputError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                row = [float(v) for v in parts[1:-1]]
-                label = int(parts[-1])
-            except ValueError:
-                # name the line only once a cell fails
-                where = f"{path}:{lineno}"
-                row = [parse_float(v, where) for v in parts[1:-1]]
-                label = parse_int(parts[-1], where)
-            if label not in (0, 1):
-                raise InputError(f"{path}:{lineno}: label must be 0 or 1, "
-                                 f"got {parts[-1]!r}")
-            plds.append(parts[0])
-            rows.append(row)
-            labels.append(label)
+    header = read_header(path)
+    if len(header) < 3 or header[0] != "pld" or header[-1] != "label":
+        raise InputError(f"{path}:1: unexpected feature table header")
+    names = header[1:-1]
+    plds, *cols, labels = read_table(path, header,
+                                     (str,) + (float,) * len(names) + (int,))
+    bad = (labels != 0) & (labels != 1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise InputError(f"{where(path, header, i)}: label must be 0 or 1, "
+                         f"got '{labels[i]}'")
     return FeatureMatrix(plds=plds, feature_names=names,
-                         X=np.array(rows, dtype=float) if rows else np.zeros((0, len(names))),
-                         labels=np.array(labels, dtype=np.int8))
+                         X=np.column_stack(cols),
+                         labels=labels.astype(np.int8))
 
 
 # ---------------------------------------------------------------------------
 # alexa table
 
 def read_alexa(path: str) -> dict[str, int]:
+    plds, ranks = read_table(path, None, (str, int))
     out: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected pld<TAB>rank")
-            pld, rank_s = parts
-            try:
-                rank = int(rank_s)
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: bad rank {rank_s!r}") from exc
-            if rank < 1:
-                raise InputError(f"{path}:{lineno}: rank must be >= 1")
-            if pld in out and out[pld] != rank:
-                raise InputError(f"{path}:{lineno}: conflicting rank for {pld!r}")
-            out[pld] = rank
+    for i, (pld, rank) in enumerate(zip(plds, ranks.tolist())):
+        if rank < 1:
+            raise InputError(f"{where(path, None, i)}: rank must be >= 1")
+        if out.get(pld, rank) != rank:
+            raise InputError(f"{where(path, None, i)}: conflicting rank for {pld!r}")
+        out[pld] = rank
     return out

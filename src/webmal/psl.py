@@ -84,7 +84,8 @@ def load_psl(path: str, include_private: bool = True) -> SuffixRules:
 
 
 def _host_of(url: str) -> str:
-    """Pull the host out of a URL; cheap on purpose, called per edge endpoint."""
+    """Pull the host out of a URL; cheap on purpose, called once per distinct
+    URL an ingest resolves."""
     s = url.strip()
     i = s.find("://")
     if i >= 0:

@@ -9,7 +9,6 @@ entropy summarizes how occurrences spread over distinct files.
 
 from __future__ import annotations
 
-import gzip
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -17,7 +16,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (EmptyProfile, EmptyVector, InputError, InvalidParams,
-                     MissingVerdict, parse_float, parse_int)
+                     MissingVerdict)
+from .tables import read_table, where
 
 DEFAULT_ENGINES = 56
 
@@ -171,41 +171,31 @@ def score_plds(profiles: Iterable[PldFileProfile], verdicts: VerdictMatrix,
 # ---------------------------------------------------------------------------
 # file formats
 
-def _open_text(path: str):
-    return gzip.open(path, "rt") if path.endswith(".gz") else open(path)
-
-
 def read_verdicts(path: str) -> VerdictMatrix:
     """Load a verdict TSV: file_hash<TAB>d<TAB>detections_bitmask_hex."""
-    masks: dict[str, int] = {}
-    d: int | None = None
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise InputError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            file_hash, d_str, mask_hex = parts
-            try:
-                row_d = int(d_str)
-                mask = int(mask_hex, 16)
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            if row_d < 1:
-                raise EmptyVector(f"{path}:{lineno}: d must be >= 1")
-            if d is None:
-                d = row_d
-            elif row_d != d:
-                raise InputError(f"{path}:{lineno}: d={row_d} differs from corpus d={d}")
-            if mask < 0 or mask.bit_length() > d:
-                raise InputError(f"{path}:{lineno}: bitmask has bits beyond engine {d - 1}")
-            if file_hash in masks and masks[file_hash] != mask:
-                raise InputError(f"{path}:{lineno}: conflicting rows for {file_hash!r}")
-            masks[file_hash] = mask
-    if d is None:
+    hashes, ds, hexes = read_table(path, None, (str, int, str))
+    if not hashes:
         raise InputError(f"{path}: no verdict rows")
+    d = int(ds[0])
+    masks: dict[str, int] = {}
+    for i, (file_hash, row_d, mask_hex) in enumerate(zip(hashes, ds.tolist(), hexes)):
+        try:
+            mask = int(mask_hex, 16)
+        except ValueError:
+            raise InputError(f"{where(path, None, i)}: not a hexadecimal bitmask: "
+                             f"{mask_hex.strip()!r}") from None
+        if row_d < 1:
+            raise EmptyVector(f"{where(path, None, i)}: d must be >= 1")
+        if row_d != d:
+            raise InputError(f"{where(path, None, i)}: d={row_d} differs from "
+                             f"corpus d={d}")
+        if mask < 0 or mask.bit_length() > d:
+            raise InputError(f"{where(path, None, i)}: bitmask has bits beyond "
+                             f"engine {d - 1}")
+        if masks.get(file_hash, mask) != mask:
+            raise InputError(f"{where(path, None, i)}: conflicting rows for "
+                             f"{file_hash!r}")
+        masks[file_hash] = mask
     return VerdictMatrix(d=d, masks=masks)
 
 
@@ -217,25 +207,15 @@ def write_verdicts(verdicts: VerdictMatrix, path: str) -> None:
 
 def read_observations(path: str) -> list[PldFileProfile]:
     """Load observation TSV: pld<TAB>file_hash<TAB>count (rows accumulate)."""
-    counts: dict[str, dict[str, int]] = {}
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise InputError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            pld, file_hash, count_str = parts
-            try:
-                count = int(count_str)
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            if count < 1:
-                raise InputError(f"{path}:{lineno}: count must be >= 1")
-            bucket = counts.setdefault(pld, {})
-            bucket[file_hash] = bucket.get(file_hash, 0) + count
-    return [PldFileProfile(pld=pld, files=counts[pld]) for pld in sorted(counts)]
+    plds, hashes, counts = read_table(path, None, (str, str, int))
+    low = counts < 1
+    if low.any():
+        raise InputError(f"{where(path, None, int(low.argmax()))}: count must be >= 1")
+    grouped: dict[str, dict[str, int]] = {}
+    for pld, file_hash, count in zip(plds, hashes, counts.tolist()):
+        bucket = grouped.setdefault(pld, {})
+        bucket[file_hash] = bucket.get(file_hash, 0) + count
+    return [PldFileProfile(pld=pld, files=grouped[pld]) for pld in sorted(grouped)]
 
 
 def write_observations(profiles: Iterable[PldFileProfile], path: str) -> None:
@@ -254,25 +234,14 @@ def write_reputation(rows: Iterable[PldReputation], path: str) -> None:
 
 
 def read_reputation(path: str) -> list[PldReputation]:
-    rows = []
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            where = f"{path}:{lineno}"
-            if len(parts) != 6:
-                raise InputError(f"{where}: expected 6 fields, got {len(parts)}")
-            if parts[1] not in ("clean", "malicious"):
-                raise InputError(f"{where}: bad dichotomy {parts[1]!r}")
-            rows.append(PldReputation(
-                pld=parts[0], dichotomy=parts[1],
-                r_bar=parse_float(parts[2], where),
-                n_unique=parse_int(parts[3], where),
-                total=parse_int(parts[4], where),
-                entropy=parse_float(parts[5], where)))
-    return rows
+    plds, dichotomy, r_bar, n_unique, total, entropy = read_table(
+        path, None, (str, str, float, int, int, float))
+    for i, label in enumerate(dichotomy):
+        if label not in ("clean", "malicious"):
+            raise InputError(f"{where(path, None, i)}: bad dichotomy {label!r}")
+    return [PldReputation(*row) for row in zip(
+        plds, dichotomy, r_bar.tolist(), n_unique.tolist(), total.tolist(),
+        entropy.tolist())]
 
 
 def malicious_file_sets(profiles: Iterable[PldFileProfile],

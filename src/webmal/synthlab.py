@@ -33,6 +33,7 @@ from .dga import DEFAULT_ALPHABET, default_wordlist
 from .errors import InfeasibleSpec, InvalidParams
 from .heavytail import make_distribution
 from .reputation import PldFileProfile, VerdictMatrix
+from .tables import read_table
 
 
 def _sample_trunc_power_law(params: dict[str, float], x_min: float, n: int,
@@ -551,11 +552,4 @@ def write_corpus(corpus: Corpus, out_dir: str) -> dict[str, str]:
 
 
 def read_labels(path: str) -> dict[str, str]:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line:
-                pld, label = line.split("\t")
-                out[pld] = label
-    return out
+    return dict(zip(*read_table(path, None, (str, str))))

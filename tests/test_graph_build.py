@@ -114,11 +114,14 @@ def test_against_recount_oracle():
 
 
 def test_each_url_is_parsed_once(monkeypatch):
-    # a row linking a new URL to itself would resolve it twice, once per end
     good = [(s, d) for s, d in _random_stream(2000, seed=9) if s != d]
+    # a row linking a URL not yet seen to itself resolves it once
+    self_links = [(f"http://self{i}.com/p", f"http://self{i}.com/p")
+                  for i in range(20)]
     # in a skipped row the good source resolves, then the bad destination
     # fails; neither is stored, and both are parsed
     skipped = [(f"http://lone{i}.com/x", _BAD_ENDPOINTS[i % 3]) for i in range(30)]
+    good = good[:500] + self_links + good[500:]
     rows = good[:1000] + skipped + good[1000:]
     real = graph._host_of
     calls = []

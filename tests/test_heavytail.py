@@ -564,14 +564,6 @@ def test_select_small_subsample_keeps_family_in_candidates():
     assert len(result.candidates) >= 1
 
 
-def test_superset_tie_break():
-    data = sample("power_law", {"alpha": 2.5}, 1.0, 5000, seed=44)
-    result = select_candidates(data, superset_selection="trunc_power_law")
-    if "trunc_power_law" in result.candidates and len(result.candidates) > 1:
-        assert result.selection == "trunc_power_law"
-        assert result.selection_flag == "judged"
-
-
 def test_all_eliminated_flag():
     cs = CandidateSet(fits={}, eliminated_by={}, candidates=[], selection=None,
                       selection_flag=None)

@@ -72,6 +72,30 @@ def test_rerun_skips_everything(tmp_path, corpus_dir):
     assert file_sha256(os.path.join(cfg.out_dir, "manifest.json")) == manifest_before
 
 
+def test_interrupt_keeps_finished_stages(tmp_path, corpus_dir, monkeypatch):
+    from dataclasses import replace
+
+    from webmal import pipeline
+
+    def interrupt(cfg, paths):
+        raise KeyboardInterrupt
+
+    cfg = make_config(corpus_dir, str(tmp_path / "run"))
+    stages = pipeline.STAGES
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "STAGES", stages[:3]
+                  + (replace(stages[3], run=interrupt),) + stages[4:])
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(cfg)
+    res = run_pipeline(cfg)
+    assert res.skipped == list(STAGE_NAMES[:3])
+    assert res.executed == list(STAGE_NAMES[3:])
+    ref = make_config(corpus_dir, str(tmp_path / "ref"))
+    run_pipeline(ref)
+    assert (file_sha256(os.path.join(cfg.out_dir, "manifest.json"))
+            == file_sha256(os.path.join(ref.out_dir, "manifest.json")))
+
+
 def test_damaged_output_reruns_its_stage(tmp_path, corpus_dir):
     cfg = make_config(corpus_dir, str(tmp_path / "run"))
     run_pipeline(cfg)

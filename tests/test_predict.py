@@ -7,6 +7,7 @@ from webmal.errors import (DimensionMismatch, InputError, InvalidParams,
                            KeyMismatch, NonFiniteInput, SingleClass,
                            TooFewPositives, UnknownFeatureSet)
 from webmal.graph import build_pld_graph
+from webmal.metrics import NodeMetrics
 from webmal.predict import (ALEXA_SENTINEL_RANK, FEATURE_SETS, EvalReport,
                             FeatureMatrix, Model, assemble_features, auc_score,
                             evaluate, feature_importance, predict_proba,
@@ -20,11 +21,11 @@ from webmal.reputation import PldReputation
 
 def fake_sources(n=6, n_mal=2):
     plds = [f"site{i:02d}.com" for i in range(n)]
-    metrics = {p: {"indeg": float(i), "outdeg": float(i % 3),
-                   "total": float(i + i % 3), "pagerank": 1.0 / (i + 1),
-                   "hub": 0.1 * i, "auth": 0.2 * i, "triangles": float(i % 2),
-                   "pages": float(2 * i + 1)}
-               for i, p in enumerate(plds)}
+    i = np.arange(n)
+    metrics = NodeMetrics(plds=plds, indegree=i, outdegree=i % 3,
+                          total_degree=i + i % 3, pagerank=1.0 / (i + 1),
+                          hub=0.1 * i, authority=0.2 * i, triangles=i % 2,
+                          num_pages=2 * i + 1)
     reps = {p: PldReputation(pld=p,
                              dichotomy="malicious" if i < n_mal else "clean",
                              r_bar=0.1 * i, n_unique=i + 1, total=2 * i + 2,

@@ -1,0 +1,157 @@
+"""The shared table reader: one set of rules and messages for every table."""
+
+import argparse
+import gzip
+import warnings
+
+import numpy as np
+import pytest
+
+from webmal import cli, pipeline
+from webmal.dga import DGA_HEADER, read_dga_scores
+from webmal.errors import EmptyInput, InputError
+from webmal.graph import EDGE_HEADER, NODE_HEADER, read_graph
+from webmal.mdn import read_cooccurrence
+from webmal.metrics import METRICS_HEADER, read_metrics
+from webmal.predict import read_alexa, read_features
+from webmal.reputation import (read_observations, read_reputation,
+                               read_verdicts)
+from webmal.synthlab import read_labels
+from webmal.tables import _read_rows, read_table
+
+_NODES = "pld\tnode_id\tpage_count\na.com\t0\t2\nb.com\t1\t1\n"
+_EDGES = "src_id\tdst_id\tweight\n0\t1\t3\n"
+_SETS = "a.com\tf1\nb.com\tf1\n"
+_PAIRS = "a.com\tb.com\t1.0\n"
+
+
+def _with(companion_name, companion_text, call):
+    """A reader of `path` that needs a valid companion table beside it."""
+    def read(path, tmp_path):
+        other = tmp_path / companion_name
+        other.write_text(companion_text)
+        return call(path, str(other))
+    return read
+
+
+def _cli(command, **args):
+    def read(path, tmp_path):
+        return command(argparse.Namespace(out=str(tmp_path / "out"), **args,
+                                          values=path, names=path))
+    return read
+
+
+def _stage_dga(path, tmp_path):
+    pipeline._stage_dga(None, {"graph_nodes.tsv": path,
+                               "dga.tsv": str(tmp_path / "dga.tsv")})
+
+
+# name -> (reader, header, valid rows, short row, bad cell row, its message)
+READERS = {
+    "graph-nodes": (_with("edges.tsv", _EDGES, read_graph), NODE_HEADER,
+                    "a.com\t0\t2\nb.com\t1\t1\n", "c.com\t2", "c.com\t2\tx",
+                    "not an integer: 'x'"),
+    "graph-edges": (_with("nodes.tsv", _NODES, lambda p, o: read_graph(o, p)),
+                    EDGE_HEADER, "0\t1\t3\n", "1\t0", "1\t0\tx",
+                    "not an integer: 'x'"),
+    "metrics": (lambda p, t: read_metrics(p), METRICS_HEADER,
+                "a.com\t1\t1\t2\t0.5\t0.5\t0.5\t0\t3\n", "b.com\t1",
+                "b.com\t1\t1\t2\tx\t0.5\t0.5\t0\t3", "not a number: 'x'"),
+    "dga": (lambda p, t: read_dga_scores(p), DGA_HEADER,
+            "a.com\t12.5\tlikely_regular\n", "b.com", "b.com\tx\tlikely_dga",
+            "not a number: 'x'"),
+    "verdicts": (lambda p, t: read_verdicts(p), None, "h1\t8\t1f\n", "h2\t8",
+                 "h2\tx\t1f", "not an integer: 'x'"),
+    "observations": (lambda p, t: read_observations(p), None, "a.com\th1\t2\n",
+                     "a.com\th2", "a.com\th2\t1.5", "not an integer: '1.5'"),
+    "reputation": (lambda p, t: read_reputation(p), None,
+                   "a.com\tclean\t0.0\t1\t1\t0.0\n", "b.com\tclean",
+                   "b.com\tclean\tx\t1\t1\t0.0", "not a number: 'x'"),
+    "cooccur-sets": (_with("pairs.tsv", _PAIRS, lambda p, o: read_cooccurrence(o, p)),
+                     None, _SETS, "c.com", None, None),
+    "cooccur-edges": (_with("sets.tsv", _SETS, read_cooccurrence), None, _PAIRS,
+                      "a.com\tb.com", "a.com\tb.com\tx", "not a number: 'x'"),
+    "features": (lambda p, t: read_features(p), ("pld", "f1", "label"),
+                 "a.com\t0.5\t0\n", "b.com\t0.5", "b.com\tx\t1",
+                 "not a number: 'x'"),
+    "alexa": (lambda p, t: read_alexa(p), None, "a.com\t1\n", "b.com",
+              "b.com\tx", "not an integer: 'x'"),
+    "labels": (lambda p, t: read_labels(p), None, "a.com\tclean\n", "b.com",
+               None, None),
+    "dga-stage-nodes": (_stage_dga, NODE_HEADER, "a.com\t0\t2\n", "b.com\t1",
+                        "b.com\t1\tx", "not an integer: 'x'"),
+    "fit-values": (_cli(cli.cmd_fit, restarts=2, families=None), None, "3\n5\n",
+                   "7\t8", "abc", "not a number: 'abc'"),
+    "dga-names": (_cli(cli.cmd_dga, table=None), None, "google\n", "a\tb",
+                  None, None),
+}
+
+CASES = [(name, case) for name, spec in READERS.items()
+         for case in ("short-row", "bad-cell", "wrong-header", "blank-line")
+         if (case != "bad-cell" or spec[4] is not None)
+         and (case != "wrong-header" or spec[1] is not None)]
+
+
+@pytest.mark.parametrize("name, case", CASES, ids=[f"{n}-{c}" for n, c in CASES])
+def test_malformed_table_names_its_line(tmp_path, name, case):
+    read, header, rows, short, bad, message = READERS[name]
+    head = "" if header is None else "\t".join(header) + "\n"
+    lineno = head.count("\n") + rows.count("\n") + 1
+    if case == "short-row":
+        text, want = head + rows + short + "\n", "fields, got"
+    elif case == "bad-cell":
+        text, want = head + rows + bad + "\n", message
+    elif case == "wrong-header":
+        text, want, lineno = "wrong\n" + rows, "header", 1
+    else:   # the empty line before the short row is counted
+        text, want, lineno = head + rows + "\n" + short + "\n", "fields, got", lineno + 1
+    path = tmp_path / "table.tsv"
+    path.write_text(text)
+    with pytest.raises(InputError) as err:
+        read(str(path), tmp_path)
+    assert str(err.value).startswith(f"{path}:{lineno}: ")
+    assert want in str(err.value)
+
+
+def test_empty_tables_keep_their_results(tmp_path):
+    def table(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_metrics(table("m.tsv", "\t".join(METRICS_HEADER) + "\n")).plds == []
+        assert read_observations(table("o.tsv", "")) == []
+        assert read_reputation(table("r.tsv", "")) == []
+        assert read_dga_scores(table("d.tsv", "\t".join(DGA_HEADER) + "\n")) == {}
+        assert read_alexa(table("a.tsv", "\n")) == {}
+        with pytest.raises(InputError, match="no verdict rows"):
+            read_verdicts(table("v.tsv", ""))
+        with pytest.raises(EmptyInput):
+            read_graph(table("n.tsv", _NODES), table("e.tsv", "\t".join(EDGE_HEADER) + "\n"))
+
+
+def test_gz_by_suffix(tmp_path):
+    path = tmp_path / "metrics.tsv.gz"
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        fh.write("\t".join(METRICS_HEADER) + "\na.com\t1\t2\t3\t0.25\t0.5\t0.75\t4\t5\n")
+    m = read_metrics(str(path))
+    assert m.plds == ["a.com"] and m.total_degree.tolist() == [3]
+    assert m.hub.tolist() == [0.5]
+
+
+def test_both_parses_agree(tmp_path):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+    path = tmp_path / "t.tsv"
+    path.write_text("".join(f"p{i}\t{i - 250}\t{float(v)!r}\n" for i, v in enumerate(x)))
+    types = (str, int, float)
+    fast = read_table(str(path), None, types)
+    slow = _read_rows(str(path), None, types)
+    assert fast[0] == slow[0]
+    assert fast[1].dtype == slow[1].dtype and np.array_equal(fast[1], slow[1])
+    assert fast[2].tobytes() == slow[2].tobytes() == x.tobytes()
+    # a cell Python reads but np.loadtxt does not falls back to Python's parse
+    path.write_text("p\t1_000\t2.5\n")
+    assert read_table(str(path), None, types)[1].tolist() == [1000]
