@@ -47,19 +47,25 @@ class FreqTable:
         if (self.counts < 0).any():
             raise InputError("counts must be non-negative")
         self._index = {c: i for i, c in enumerate(self.alphabet)}
-        self._row_sums = self.counts.sum(axis=1).astype(np.float64)
+        self._set_rows()
+
+    def _set_rows(self) -> None:
+        """Derive from counts the float rows of P(j | i) that name_badness
+        reads, so scoring a name makes no numpy call."""
+        row_sums = self.counts.sum(axis=1).astype(np.float64)
+        self._trained = bool(row_sums.sum() > 0)
+        denom = row_sums + self.smoothing * len(self.alphabet)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prob = (self.counts + self.smoothing) / denom[:, None]
+        self._rows = np.where(denom[:, None] == 0, 0.0, prob).tolist()
 
     @property
     def trained(self) -> bool:
-        return bool(self.counts.sum() > 0)
+        return self._trained
 
     def pair_probability(self, c1: str, c2: str) -> float:
         """P(c2 | c1) with additive smoothing over the alphabet."""
-        i, j = self._index[c1], self._index[c2]
-        denom = self._row_sums[i] + self.smoothing * len(self.alphabet)
-        if denom == 0:
-            return 0.0
-        return (self.counts[i, j] + self.smoothing) / denom
+        return self._rows[self._index[c1]][self._index[c2]]
 
     def pair_indices(self, text: str) -> list[tuple[int, int]]:
         """Adjacent in-alphabet index pairs; other characters break adjacency."""
@@ -91,7 +97,7 @@ def train_freq_table(corpus: Iterable[str],
             total += 1
     if total == 0:
         raise EmptyCorpus("corpus produced no adjacent character pairs")
-    table._row_sums = table.counts.sum(axis=1).astype(np.float64)
+    table._set_rows()
     return table
 
 
@@ -102,18 +108,14 @@ def name_badness(name: str, table: FreqTable) -> float:
     """
     if not table.trained:
         raise UntrainedTable("frequency table has no counts")
-    lowered = name.lower()
-    in_alpha = sum(ch in table._index for ch in lowered)
-    if in_alpha < 2:
-        return 0.0
-    pairs = table.pair_indices(lowered)
+    pairs = table.pair_indices(name)
     if not pairs:
         return 0.0
-    denom = table._row_sums + table.smoothing * len(table.alphabet)
+    rows = table._rows
     total = 0.0
     for i, j in pairs:
-        total += (table.counts[i, j] + table.smoothing) / denom[i] if denom[i] else 0.0
-    return float(100.0 * total / len(pairs))
+        total += rows[i][j]
+    return 100.0 * total / len(pairs)
 
 
 def classify_dga(score: float) -> str:

@@ -6,9 +6,10 @@ x^(b-1) e^(-lx^b), lognormal, and lognormal restricted to positive location.
 
 The cutoff family needs the upper incomplete gamma Gamma(1-a, l*x_min) with a
 possibly negative first argument, outside scipy's gammaincc domain, so it is
-evaluated here by a continued fraction for large second argument and an
-upward recurrence onto gammaincc/exp1 otherwise (relative accuracy ~1e-12,
-checked against arbitrary-precision references in the tests).
+evaluated here by one scalar routine on Python floats: a continued fraction
+for large second argument and an upward recurrence onto gammaincc/exp1
+otherwise (relative accuracy ~1e-12, checked against arbitrary-precision
+references in the tests). An array is evaluated element by element.
 """
 
 from __future__ import annotations
@@ -26,72 +27,51 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _CF_SWITCH = 4.0  # continued fraction above, recurrence below
 
 
-def _upper_gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
-    """Gamma(s, x) for x >= _CF_SWITCH via the modified Lentz continued fraction."""
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = np.full_like(x, 1e300)
-    d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
-    h = d.copy()
-    for i in range(1, 300):
-        an = -i * (i - s)
-        b = b + 2.0
-        d = an * d + b
-        np.copyto(d, tiny, where=np.abs(d) < tiny)
-        c = b + an / c
-        np.copyto(c, tiny, where=np.abs(c) < tiny)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if np.all(np.abs(delta - 1.0) < 1e-15):
-            break
-    return np.exp(-x + s * np.log(x)) * h
+def _upper_gamma(s: float, x: float) -> float:
+    """Gamma(s, x) for one float x > 0.
 
-
-def _upper_gamma_cf_scalar(s: float, x: float) -> float:
-    """_upper_gamma_cf on one float, operation for operation."""
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1e300
-    d = 1.0 / (tiny if abs(b) < tiny else b)
-    h = d
-    for i in range(1, 300):
-        an = -i * (i - s)
-        b = b + 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return float(np.exp(-x + s * np.log(x)) * h)
-
-
-def _upper_gamma_small(s: float, x: np.ndarray) -> np.ndarray:
-    """Gamma(s, x) for x < _CF_SWITCH: lift s above 0, then recurse back down.
-
-    Gamma(t-1, x) = (Gamma(t, x) - x^(t-1) e^(-x)) / (t-1); no cancellation
-    trouble for small x since the power term dominates.
+    At or above _CF_SWITCH: the modified Lentz continued fraction. Below
+    it: lift s above 0, then recurse back down with
+    Gamma(t-1, x) = (Gamma(t, x) - x^(t-1) e^(-x)) / (t-1), where the power
+    term dominates for small x so nothing cancels.
     """
+    if x <= 0:
+        raise InvalidParams("upper_gamma needs x > 0")
+    if x >= _CF_SWITCH:
+        tiny = 1e-300
+        b = x + 1.0 - s
+        c = 1e300
+        d = 1.0 / (tiny if abs(b) < tiny else b)
+        h = d
+        for i in range(1, 300):
+            an = -i * (i - s)
+            b = b + 2.0
+            d = an * d + b
+            if abs(d) < tiny:
+                d = tiny
+            c = b + an / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < 1e-15:
+                break
+        return math.exp(-x + s * math.log(x)) * h
     if s > 1e-12:
-        return math.gamma(s) * gammaincc(s, x)
+        return math.gamma(s) * float(gammaincc(s, x))
     m = int(math.floor(-s)) + 1
     t = s + m
     if t < 1e-12:  # s is a non-positive integer: top out at Gamma(0,x) = E1(x)
-        g = exp1(x)
+        g = float(exp1(x))
         t = 0.0
     else:
-        g = math.gamma(t) * gammaincc(t, x)
-    ex = np.exp(-x)
+        g = math.gamma(t) * float(gammaincc(t, x))
+    ex = math.exp(-x)
     while t > s + 1e-12:
         t -= 1.0
         if abs(t) < 1e-12:
-            g = exp1(x)
+            g = float(exp1(x))
             t = 0.0
             continue
         g = (g - x ** t * ex) / t
@@ -101,36 +81,18 @@ def _upper_gamma_small(s: float, x: np.ndarray) -> np.ndarray:
 def upper_gamma(s: float, x) -> np.ndarray | float:
     """Upper incomplete gamma Gamma(s, x) for real s and x > 0.
 
-    A scalar x takes a float path that performs the array path's
-    operations in the same order, so both give the same bits; the tail
-    likelihood calls it once per evaluation, where numpy's per-call cost on
-    a 1-element array would dominate.
+    Each value is computed on its own, so Gamma(s, x) has the same bits
+    alone as inside any array.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
-        return _upper_gamma_float(s, float(arr))
-    if np.any(arr <= 0):
-        raise InvalidParams("upper_gamma needs x > 0")
-    out = np.empty_like(arr)
-    hi = arr >= _CF_SWITCH
-    if hi.any():
-        out[hi] = _upper_gamma_cf(s, arr[hi])
-    if (~hi).any():
-        out[~hi] = _upper_gamma_small(s, arr[~hi])
-    return out
-
-
-def _upper_gamma_float(s: float, x: float) -> float:
-    if x <= 0:
-        raise InvalidParams("upper_gamma needs x > 0")
-    if x >= _CF_SWITCH:
-        return _upper_gamma_cf_scalar(s, x)
-    # a 0-d array: ** then takes the same numpy path as on arrays
-    return float(_upper_gamma_small(s, np.asarray(x)))
+        return _upper_gamma(s, float(arr))
+    out = [_upper_gamma(s, v) for v in arr.ravel().tolist()]
+    return np.array(out, dtype=float).reshape(arr.shape)
 
 
 def log_upper_gamma(s: float, x: float) -> float:
-    g = _upper_gamma_float(s, float(x))
+    g = _upper_gamma(s, float(x))
     if g <= 0 or not math.isfinite(g):
         raise InvalidParams(f"Gamma({s}, {x}) not representable")
     return math.log(g)

@@ -12,6 +12,7 @@ import math
 import numpy as np
 from scipy.special import log_ndtr
 
+from .dga import FreqTable
 from .errors import InstanceTooLarge, InvalidParams
 from .heavytail.families import log_upper_gamma
 from .graph import PldGraph
@@ -304,3 +305,45 @@ def oracle_graph_recount(page_edges: list[tuple[str, str]], pld_func) -> tuple[
         pages.setdefault(d, set()).add(dst)
         edges[(s, d)] = edges.get((s, d), 0) + 1
     return {p: len(v) for p, v in pages.items()}, edges
+
+
+def oracle_name_badness(name: str, table: FreqTable) -> float:
+    """dga.name_badness from the counts, one conditional probability per
+    adjacent pair of in-alphabet characters."""
+    lowered = name.lower()
+    pairs = [(table.alphabet.index(a), table.alphabet.index(b))
+             for a, b in zip(lowered, lowered[1:])
+             if a in table.alphabet and b in table.alphabet]
+    if not pairs:
+        return 0.0
+    denom = table.counts.sum(axis=1).astype(np.float64) + table.smoothing * len(table.alphabet)
+    total = 0.0
+    for i, j in pairs:
+        total += (table.counts[i, j] + table.smoothing) / denom[i] if denom[i] else 0.0
+    return float(100.0 * total / len(pairs))
+
+
+def oracle_logistic_loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
+                         l2: float) -> float:
+    """The loss predict.train_logreg descends: mean cross-entropy, written
+    stably as log(1 + e^z) - z y, plus l2/2 |w|^2 (the bias is free)."""
+    z = X @ w + b
+    ce = np.mean(np.logaddexp(0.0, z) - z * y)
+    return float(ce + 0.5 * l2 * np.dot(w, w))
+
+
+def oracle_stacked_feature(g: PldGraph, base_prob: dict[str, float]) -> dict[str, float]:
+    """predict.stacked_feature from per-node neighbor sets."""
+    fallback = float(np.mean(list(base_prob.values()))) if base_prob else 0.5
+    neighbors: dict[int, set[int]] = {i: set() for i in range(g.n_nodes)}
+    for s, d in zip(g.edge_src, g.edge_dst):
+        s, d = int(s), int(d)
+        if s == d:
+            continue
+        neighbors[s].add(d)
+        neighbors[d].add(s)
+    out: dict[str, float] = {}
+    for i, pld in enumerate(g.plds):
+        vals = [base_prob[g.plds[j]] for j in neighbors[i] if g.plds[j] in base_prob]
+        out[pld] = float(np.mean(vals)) if vals else fallback
+    return out

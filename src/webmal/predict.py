@@ -77,13 +77,7 @@ def metric_column(metrics: NodeMetrics, feature: str) -> np.ndarray:
     return np.zeros(len(metrics.plds)) if col is None else col.astype(float)
 
 
-def _rep_rows(reputation) -> dict[str, PldReputation]:
-    if isinstance(reputation, Mapping):
-        return dict(reputation)
-    return {r.pld: r for r in reputation}
-
-
-def assemble_features(metrics: NodeMetrics, reputation,
+def assemble_features(metrics: NodeMetrics, reputation: list[PldReputation],
                       dga_scores: Mapping[str, float],
                       alexa: Mapping[str, int], feature_set: str = "all",
                       normalize: bool = False) -> FeatureMatrix:
@@ -97,7 +91,7 @@ def assemble_features(metrics: NodeMetrics, reputation,
     if feature_set not in FEATURE_SETS:
         raise UnknownFeatureSet(f"unknown feature set {feature_set!r}")
     names = FEATURE_SETS[feature_set]
-    rrows = _rep_rows(reputation)
+    rrows = {r.pld: r for r in reputation}
     order = sorted(range(len(metrics.plds)), key=metrics.plds.__getitem__)
     plds = [metrics.plds[i] for i in order]
     missing = [p for p in plds if p not in rrows]
@@ -224,17 +218,11 @@ class Model:
     epochs_run: int = 0
 
 
-def _loss_grad(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
-               l2: float) -> tuple[float, np.ndarray, float]:
-    z = X @ w + b
-    p = expit(z)
-    # stable cross-entropy: log(1+exp(-|z|)) + max(z,0) - z*y
-    ce = np.mean(np.logaddexp(0.0, z) - z * y)
-    loss = float(ce + 0.5 * l2 * np.dot(w, w))
-    resid = (p - y) / len(y)
-    grad_w = X.T @ resid + l2 * w
-    grad_b = float(np.sum(resid))
-    return loss, grad_w, grad_b
+def _gradient(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
+              l2: float) -> tuple[np.ndarray, float]:
+    """Gradient of the L2-regularized mean cross-entropy in (w, b)."""
+    resid = (expit(X @ w + b) - y) / len(y)
+    return X.T @ resid + l2 * w, float(np.sum(resid))
 
 
 def train_logreg(X: np.ndarray, y: np.ndarray, *, l2: float = 0.01,
@@ -278,7 +266,7 @@ def train_logreg(X: np.ndarray, y: np.ndarray, *, l2: float = 0.01,
     converged = False
     epoch = 0
     for epoch in range(1, epochs + 1):
-        _, gw, gb = _loss_grad(X, y, w, b, l2)
+        gw, gb = _gradient(X, y, w, b, l2)
         gnorm = math.sqrt(float(np.dot(gw, gw)) + gb * gb)
         if gnorm < tol:
             converged = True
@@ -350,25 +338,25 @@ def read_model(path: str) -> Model:
 def stacked_feature(g: PldGraph, base_prob: Mapping[str, float]) -> dict[str, float]:
     """Mean neighbor probability per PLD, neighbors = undirected union with
     self excluded, restricted to the PLDs present in base_prob (the training
-    set). PLDs with no scored neighbor fall back to the global mean of
-    base_prob."""
+    set). Each mean sums its scored neighbors in node-id order. PLDs with no
+    scored neighbor fall back to the global mean of base_prob."""
     if base_prob:
         fallback = float(np.mean(list(base_prob.values())))
     else:
         fallback = 0.5
-    neighbors: dict[int, set[int]] = {i: set() for i in range(g.n_nodes)}
-    for s, d in zip(g.edge_src, g.edge_dst):
-        s, d = int(s), int(d)
-        if s == d:
-            continue
-        neighbors[s].add(d)
-        neighbors[d].add(s)
-    out: dict[str, float] = {}
+    prob = np.zeros(g.n_nodes)
+    scored = np.zeros(g.n_nodes)
     for i, pld in enumerate(g.plds):
-        vals = [base_prob[g.plds[j]] for j in neighbors[i]
-                if g.plds[j] in base_prob]
-        out[pld] = float(np.mean(vals)) if vals else fallback
-    return out
+        if pld in base_prob:
+            prob[i] = base_prob[pld]
+            scored[i] = 1.0
+    A = g.adjacency(drop_self_loops=True)
+    A = A.maximum(A.T)   # symmetric 0/1
+    total = A @ prob
+    count = A @ scored
+    mean = np.divide(total, count, out=np.full(g.n_nodes, fallback),
+                     where=count > 0)
+    return dict(zip(g.plds, mean.tolist()))
 
 
 # ---------------------------------------------------------------------------

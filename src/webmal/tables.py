@@ -3,7 +3,8 @@
 The rules are the same for every table. A table the pipeline writes starts
 with its exact header line; an external input has no header. Empty lines
 are skipped but still counted in line numbers. A path ending in ".gz" is
-read through gzip. A malformed row raises InputError("path:lineno: ...").
+read through gzip. A malformed row, or a line that is not UTF-8 text,
+raises InputError("path:lineno: ...").
 """
 
 from __future__ import annotations
@@ -20,16 +21,16 @@ _DTYPES = {str: object, int: np.int64, float: np.float64}
 _INT64 = np.iinfo(np.int64)
 
 
-def open_text(path: str) -> TextIO:
+def open_text(path: str, errors: str = "strict") -> TextIO:
     if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, encoding="utf-8")
+        return gzip.open(path, "rt", encoding="utf-8", errors=errors)
+    return open(path, encoding="utf-8", errors=errors)
 
 
 def read_header(path: str) -> tuple[str, ...]:
     """The cells of a table's first line."""
-    with open_text(path) as fh:
-        return tuple(fh.readline().rstrip("\n").split("\t"))
+    with open_text(path, errors="surrogateescape") as fh:
+        return tuple(_checked(path, 1, fh.readline()).split("\t"))
 
 
 def read_table(path: str, header: tuple[str, ...] | None,
@@ -41,19 +42,17 @@ def read_table(path: str, header: tuple[str, ...] | None,
     file read again row by row, to name the first bad line.
     """
     dtype = np.dtype([(f"c{i}", _DTYPES[t]) for i, t in enumerate(types)])
-    with open_text(path) as fh:
-        if header is not None:
-            expected = "\t".join(header)
-            if fh.readline().rstrip("\n") != expected:
-                raise InputError(f"{path}:1: expected header {expected!r}")
-        try:
+    try:
+        with open_text(path) as fh:
+            if header is not None:
+                _check_header(path, fh.readline().rstrip("\n"), header)
             with warnings.catch_warnings():
                 # a table with no rows is not an error
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, dtype=dtype, delimiter="\t", comments=None,
                                   encoding="utf-8", ndmin=1)
-        except (ValueError, OverflowError):
-            return _read_rows(path, header, types)
+    except (ValueError, OverflowError):   # UnicodeDecodeError is a ValueError
+        return _read_rows(path, header, types)
     return [data[name].tolist() if t is str else data[name].copy()
             for name, t in zip(dtype.names, types)]
 
@@ -61,22 +60,39 @@ def read_table(path: str, header: tuple[str, ...] | None,
 def where(path: str, header: tuple[str, ...] | None, row: int) -> str:
     """The "path:lineno" of data row `row` (0-based) of a table read_table
     read, for an error that a reader's own checks find."""
-    with open_text(path) as fh:
-        for i, (lineno, _) in enumerate(_data_lines(fh, header)):
-            if i == row:
-                return f"{path}:{lineno}"
+    for i, (lineno, _) in enumerate(_data_lines(path, header)):
+        if i == row:
+            return f"{path}:{lineno}"
     raise IndexError(row)
 
 
-def _data_lines(fh: TextIO, header: tuple[str, ...] | None) -> Iterator[tuple[int, str]]:
-    """(lineno, line) for each non-empty line after the header."""
-    lines = enumerate(fh, 1)
-    if header is not None:
-        next(lines, None)
-    for lineno, line in lines:
-        line = line.rstrip("\n")
-        if line:
-            yield lineno, line
+def _check_header(path: str, line: str, header: tuple[str, ...]) -> None:
+    expected = "\t".join(header)
+    if line != expected:
+        raise InputError(f"{path}:1: expected header {expected!r}")
+
+
+def _checked(path: str, lineno: int, line: str) -> str:
+    """A line read with errors="surrogateescape", without its newline; a
+    byte that was not UTF-8 left a surrogate that cannot be encoded."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InputError(f"{path}:{lineno}: not UTF-8 text at column "
+                         f"{exc.start + 1}") from None
+    return line.rstrip("\n")
+
+
+def _data_lines(path: str, header: tuple[str, ...] | None) -> Iterator[tuple[int, str]]:
+    """(lineno, line) for each non-empty line after the header; each line is
+    checked on its own, so a byte that is not UTF-8 names its line."""
+    with open_text(path, errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = _checked(path, lineno, line)
+            if lineno == 1 and header is not None:
+                _check_header(path, line, header)
+            elif line:
+                yield lineno, line
 
 
 def _read_rows(path: str, header: tuple[str, ...] | None,
@@ -85,15 +101,14 @@ def _read_rows(path: str, header: tuple[str, ...] | None,
     raises InputError naming its line."""
     parsers = [_PARSERS[t] for t in types]
     cols: list[list] = [[] for _ in types]
-    with open_text(path) as fh:
-        for lineno, line in _data_lines(fh, header):
-            cells = line.split("\t")
-            where = f"{path}:{lineno}"
-            if len(cells) != len(types):
-                raise InputError(f"{where}: expected {len(types)} fields, "
-                                 f"got {len(cells)}")
-            for col, parse, cell in zip(cols, parsers, cells):
-                col.append(parse(cell, where))
+    for lineno, line in _data_lines(path, header):
+        cells = line.split("\t")
+        where = f"{path}:{lineno}"
+        if len(cells) != len(types):
+            raise InputError(f"{where}: expected {len(types)} fields, "
+                             f"got {len(cells)}")
+        for col, parse, cell in zip(cols, parsers, cells):
+            col.append(parse(cell, where))
     return [col if t is str else np.array(col, dtype=_DTYPES[t])
             for col, t in zip(cols, types)]
 

@@ -284,6 +284,16 @@ def test_exit_codes(tmp_path, corpus):
                  "--out", str(tmp_path / "f.json")]) == 1
 
 
+def test_non_utf8_byte_is_input_error(tmp_path, corpus, capsys):
+    bad = tmp_path / "verdicts.tsv"
+    bad.write_bytes(b"h1\t8\t1f\nh2\t8\t\xff\n")
+    rc = main(["score", "--verdicts", str(bad), "--observations",
+               os.path.join(corpus, "observations.tsv"),
+               "--out", str(tmp_path / "r.tsv")])
+    assert rc == 1
+    assert f"input error: {bad}:2: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_zero_malicious_cooccur(tmp_path):
     from webmal.synthlab import plant_crawl, write_corpus
     spec = default_spec(seed=5, n_plds=60, malicious_fraction=0.0)

@@ -14,6 +14,8 @@ from webmal.dga import (DEFAULT_ALPHABET, FreqTable, classify_dga,
                         read_table, registrable_label, score_pld_name,
                         train_freq_table, write_table)
 from webmal.errors import EmptyCorpus, InputError, UntrainedTable
+from webmal.oracles import oracle_name_badness
+from webmal.synthlab import default_spec, plant_crawl
 
 
 def idx(c):
@@ -102,6 +104,18 @@ def test_score_formula_recomputation():
     pairs = [("b", "a"), ("a", "n"), ("n", "d"), ("d", "a")]
     expect = 100.0 * np.mean([t.pair_probability(a, b) for a, b in pairs])
     assert name_badness(name, t) == pytest.approx(expect, rel=1e-12)
+
+
+def test_score_is_the_pair_formula_bit_for_bit():
+    t = load_default_table()
+    planted = plant_crawl(default_spec(seed=7, n_plds=2000)).plds
+    names = list(default_wordlist()) + [registrable_label(p) for p in planted]
+    for name in names:
+        assert name_badness(name, t) == oracle_name_badness(name, t), name
+    # no smoothing: the row of "b" is empty, so P(a | b) has a zero denominator
+    bare = train_freq_table(["ab"], smoothing=0.0)
+    for name in ("ab", "ba", "b-a", "aba"):
+        assert name_badness(name, bare) == oracle_name_badness(name, bare), name
 
 
 # ---------------------------------------------------------------------------

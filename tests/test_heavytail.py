@@ -29,6 +29,10 @@ GAMMA_REFERENCE = [
     (-0.3, 4.0, 0.0023660072939319665),
     (-0.01, 2.0, 0.048421418390956981),
     (-1.0, 1.0, 0.14849550677592205),
+    (-2.5, 7.5, 3.3502518992767180484e-07),
+    (-1.0, 9.0, 1.2648462760692333786e-06),
+    (-1.3, 55.0, 1.2401436198362861873e-28),
+    (-3.2, 400.0, 2.2337268659784004872e-185),
     (0.34, 0.02, 1.8502818473269821),
     (0.9, 150.0, 4.3444125327977487e-66),
     (0.5, 7.3, 0.00023558489526580423),
@@ -54,16 +58,18 @@ def test_upper_gamma_reference(s, x, ref):
 
 
 def test_upper_gamma_vectorized_matches_scalar():
-    # the scalar path repeats the array path's operations, so it must give
-    # the bits of a 1-element array; a longer array keeps iterating its
-    # continued fraction until every element converges, hence approx there
+    # each value is computed on its own: alone or inside any array, Gamma(s, x)
+    # has the same bits
     xs = np.array([1e-6, 0.01, 0.5, 3.9, _CF_SWITCH, 12.0, 80.0])
+    wide = np.linspace(4.0, 400.0, 50)
     for s in (-3.5, -2.0, -1.0, -0.71, -0.5, 0.0, 1e-13, 0.5, 2.5):
-        vec = upper_gamma(s, xs)
-        for x, v in zip(xs, vec):
-            scalar = upper_gamma(s, float(x))
-            assert scalar == upper_gamma(s, np.array([x]))[0]
-            assert v == pytest.approx(scalar, rel=1e-12)
+        for batch in (xs, xs[::-1], wide):
+            vec = upper_gamma(s, batch)
+            for x, v in zip(batch, vec):
+                assert v == upper_gamma(s, float(x)) == upper_gamma(s, np.array([x]))[0]
+    grid = upper_gamma(-0.71, wide.reshape(5, 10))
+    assert grid.shape == (5, 10)
+    assert np.array_equal(grid.ravel(), upper_gamma(-0.71, wide))
 
 
 def test_upper_gamma_rejects_nonpositive_x():

@@ -14,7 +14,8 @@ from webmal.predict import (ALEXA_SENTINEL_RANK, FEATURE_SETS, EvalReport,
                             read_alexa, read_model, run_stacked_experiment,
                             stacked_feature, stratified_split, train_logreg,
                             undersample, write_model)
-from webmal.predict import _loss_grad
+from webmal.oracles import oracle_logistic_loss, oracle_stacked_feature
+from webmal.predict import _gradient
 from webmal.psl import parse_psl
 from webmal.reputation import PldReputation
 
@@ -26,11 +27,10 @@ def fake_sources(n=6, n_mal=2):
                           total_degree=i + i % 3, pagerank=1.0 / (i + 1),
                           hub=0.1 * i, authority=0.2 * i, triangles=i % 2,
                           num_pages=2 * i + 1)
-    reps = {p: PldReputation(pld=p,
-                             dichotomy="malicious" if i < n_mal else "clean",
-                             r_bar=0.1 * i, n_unique=i + 1, total=2 * i + 2,
-                             entropy=0.5)
-            for i, p in enumerate(plds)}
+    reps = [PldReputation(pld=p, dichotomy="malicious" if i < n_mal else "clean",
+                          r_bar=0.1 * i, n_unique=i + 1, total=2 * i + 2,
+                          entropy=0.5)
+            for i, p in enumerate(plds)]
     dga = {p: 10.0 + i for i, p in enumerate(plds)}
     alexa = {plds[0]: 5, plds[1]: 2_000_000}
     return plds, metrics, reps, dga, alexa
@@ -69,7 +69,7 @@ def test_alexa_imputation_sentinel():
 def test_labels_follow_dichotomy():
     plds, metrics, reps, dga, alexa = fake_sources(n_mal=3)
     fm = assemble_features(metrics, reps, dga, alexa, "graph")
-    want = {p: 1 if reps[p].dichotomy == "malicious" else 0 for p in plds}
+    want = {r.pld: 1 if r.dichotomy == "malicious" else 0 for r in reps}
     got = {p: int(v) for p, v in zip(fm.plds, fm.labels)}
     assert got == want
 
@@ -79,7 +79,7 @@ def test_unknown_set_and_key_mismatch():
     with pytest.raises(UnknownFeatureSet):
         assemble_features(metrics, reps, dga, alexa, "everything")
     with pytest.raises(KeyMismatch):
-        assemble_features(metrics, dict(list(reps.items())[:-1]), dga, alexa)
+        assemble_features(metrics, reps[:-1], dga, alexa)
     bad_dga = dict(dga)
     del bad_dga["site03.com"]
     with pytest.raises(KeyMismatch):
@@ -180,8 +180,8 @@ def test_training_beats_zero_weights_on_separated_data():
     X = np.array([[x] for x in (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)])
     y = np.array([0, 0, 0, 1, 1, 1])
     model = train_logreg(X, y, l2=0.01, normalize=False)
-    loss_fit, _, _ = _loss_grad(X, y, model.weights, model.bias, 0.01)
-    loss_zero, _, _ = _loss_grad(X, y, np.zeros(1), 0.0, 0.01)
+    loss_fit = oracle_logistic_loss(X, y, model.weights, model.bias, 0.01)
+    loss_zero = oracle_logistic_loss(X, y, np.zeros(1), 0.0, 0.01)
     assert loss_fit < loss_zero
     assert model.converged
 
@@ -204,17 +204,17 @@ def test_gradient_matches_central_differences():
     # central-difference noise and the relative comparison is meaningful
     model = train_logreg(X, y, l2=0.05, epochs=5, normalize=False)
     w, b = model.weights, model.bias
-    _, gw, gb = _loss_grad(X, y, w, b, 0.05)
+    gw, gb = _gradient(X, y, w, b, 0.05)
     h = 1e-6
     for j in range(4):
         e = np.zeros(4)
         e[j] = h
-        lp, _, _ = _loss_grad(X, y, w + e, b, 0.05)
-        lm, _, _ = _loss_grad(X, y, w - e, b, 0.05)
+        lp = oracle_logistic_loss(X, y, w + e, b, 0.05)
+        lm = oracle_logistic_loss(X, y, w - e, b, 0.05)
         num = (lp - lm) / (2 * h)
         assert abs(num - gw[j]) / max(abs(gw[j]), 1e-8) < 1e-5
-    lp, _, _ = _loss_grad(X, y, w, b + h, 0.05)
-    lm, _, _ = _loss_grad(X, y, w, b - h, 0.05)
+    lp = oracle_logistic_loss(X, y, w, b + h, 0.05)
+    lm = oracle_logistic_loss(X, y, w, b - h, 0.05)
     assert abs((lp - lm) / (2 * h) - gb) / max(abs(gb), 1e-8) < 1e-5
 
 
@@ -297,6 +297,34 @@ def test_stacked_neighbor_mean_and_fallback():
     assert out["d.com"] == pytest.approx(0.5)
     # c's neighbor b unscored -> fallback, self loop never counts
     assert out["c.com"] == pytest.approx(0.5)
+
+
+def _assert_matches_stacked_oracle(g, base):
+    got, want = stacked_feature(g, base), oracle_stacked_feature(g, base)
+    assert list(got) == list(want)
+    for pld in want:
+        assert got[pld] == pytest.approx(want[pld], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("base", [
+    {"a.com": 0.2, "c.com": 0.8},        # c has a self-loop; a falls back
+    {"b.com": 0.3, "d.com": 0.6},        # d: self-loop only, no neighbor
+    {},                                   # nothing scored: fallback 0.5
+])
+def test_stacked_matches_set_oracle_small(base):
+    _assert_matches_stacked_oracle(small_graph(), base)
+
+
+def test_stacked_matches_set_oracle_random():
+    rng = np.random.default_rng(5)
+    n = 300
+    pairs = [(f"http://s{int(a)}.com/", f"http://s{int(b)}.com/")
+             for a, b in rng.integers(0, n, size=(2000, 2))]
+    g = build_pld_graph(pairs, parse_psl("com\n"))
+    scored = rng.random(g.n_nodes) < 0.4
+    base = {p: float(v) for p, v, keep in zip(g.plds, rng.random(g.n_nodes), scored)
+            if keep}
+    _assert_matches_stacked_oracle(g, base)
 
 
 def test_stacked_ignores_test_labels():

@@ -87,7 +87,8 @@ READERS = {
 }
 
 CASES = [(name, case) for name, spec in READERS.items()
-         for case in ("short-row", "bad-cell", "wrong-header", "blank-line")
+         for case in ("short-row", "bad-cell", "wrong-header", "blank-line",
+                      "not-utf8")
          if (case != "bad-cell" or spec[4] is not None)
          and (case != "wrong-header" or spec[1] is not None)]
 
@@ -103,10 +104,12 @@ def test_malformed_table_names_its_line(tmp_path, name, case):
         text, want = head + rows + bad + "\n", message
     elif case == "wrong-header":
         text, want, lineno = "wrong\n" + rows, "header", 1
-    else:   # the empty line before the short row is counted
+    elif case == "blank-line":   # the empty line before the short row is counted
         text, want, lineno = head + rows + "\n" + short + "\n", "fields, got", lineno + 1
+    else:   # "\udcff" is written as the byte 0xff
+        text, want = head + rows + "\udcff" + short + "\n", "not UTF-8 text"
     path = tmp_path / "table.tsv"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(InputError) as err:
         read(str(path), tmp_path)
     assert str(err.value).startswith(f"{path}:{lineno}: ")
