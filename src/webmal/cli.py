@@ -10,8 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .errors import ConfigError, InputError, NumericalError, WebmalError
+
+
+def _name_list(text: str) -> tuple[str, ...]:
+    return tuple(f.strip() for f in text.split(",") if f.strip())
 
 
 def _add_run_overrides(p: argparse.ArgumentParser) -> None:
@@ -26,32 +31,25 @@ def _add_run_overrides(p: argparse.ArgumentParser) -> None:
                    choices=("centrality", "domain", "graph", "alexa", "all"))
     p.add_argument("--split-seed", dest="split_seed", type=int)
     p.add_argument("--threshold", type=float, help="classification threshold")
-    p.add_argument("--fit-features", dest="fit_features",
+    p.add_argument("--fit-features", dest="fit_features", type=_name_list,
                    help="comma-separated count features to fit")
     p.add_argument("--fit-max-n", dest="fit_max_n", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--l2", type=float)
     p.add_argument("--workers", type=int)
-    p.add_argument("--tsv", action="store_true",
+    p.add_argument("--tsv", dest="emit_tsv", action="store_true", default=None,
                    help="also emit flat TSV mirrors of the JSON reports")
 
 
 def cmd_run(args) -> None:
     from .pipeline import RunConfig, run_pipeline
-    overrides = {k: getattr(args, k) for k in
-                 ("edges", "psl", "verdicts", "observations", "alexa",
-                  "out_dir", "tau", "feature_set", "split_seed", "threshold",
-                  "fit_max_n", "epochs", "l2", "workers")}
-    if args.fit_features:
-        overrides["fit_features"] = tuple(
-            f.strip() for f in args.fit_features.split(",") if f.strip())
-    if args.tsv:
-        overrides["emit_tsv"] = True
+    # every RunConfig field that _add_run_overrides parsed; None: flag not given
+    names = {f.name for f in fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in names and v is not None}
     if args.config:
         cfg = RunConfig.from_json(args.config, overrides)
     else:
-        cfg = RunConfig.from_dict({k: v for k, v in overrides.items()
-                                   if v is not None})
+        cfg = RunConfig.from_dict(overrides)
     res = run_pipeline(cfg, log=print)
     print(f"run complete: {len(res.executed)} stages executed, "
           f"{len(res.skipped)} skipped -> {res.out_dir}")

@@ -139,17 +139,29 @@ def build_pld_graph(page_edges: Iterable[tuple[str, str]], rules: SuffixRules,
 
 
 def iter_edge_file(path: str) -> Iterator[tuple[str, str]]:
-    """Yield URL pairs from a TSV file (src<TAB>dst), gzip-aware."""
-    with open_text(path) as fh:
+    """Yield URL pairs from a TSV file (src<TAB>dst), gzip-aware. A malformed
+    row, a line that is not UTF-8 text among them, yields ("", ""), which
+    the builder counts as skipped."""
+    with open_text(path, errors="surrogateescape") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 2:
+            if len(parts) != 2 or not (line.isascii() or _is_utf8(line)):
                 yield ("", "")  # malformed row: endpoints fail extraction
                 continue
             yield (parts[0], parts[1])
+
+
+def _is_utf8(line: str) -> bool:
+    """False for a line read with errors="surrogateescape" that held a byte
+    that is not UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def build_from_file(path: str, rules: SuffixRules, strict: bool = False) -> PldGraph:

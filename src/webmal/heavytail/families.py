@@ -15,7 +15,8 @@ references in the tests). An array is evaluated element by element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import brentq
@@ -105,7 +106,9 @@ class TailDistribution:
     params: dict[str, float]
     x_min: float
 
-    family: str = field(init=False, default="")
+    # set by each family's class
+    family: ClassVar[str]
+    param_names: ClassVar[tuple[str, ...]]
 
     def __post_init__(self):
         if not (self.x_min > 0):
@@ -148,9 +151,8 @@ class TailDistribution:
 
 
 class PowerLaw(TailDistribution):
-    def __post_init__(self):
-        self.family = "power_law"
-        super().__post_init__()
+    family = "power_law"
+    param_names = ("alpha",)
 
     def _validate(self):
         if not (self.params.get("alpha", 0) > 1):
@@ -175,8 +177,10 @@ class PowerLaw(TailDistribution):
 class TruncPowerLaw(TailDistribution):
     """Power law with exponential cutoff: C x^-a e^(-lx)."""
 
+    family = "trunc_power_law"
+    param_names = ("alpha", "lambda")
+
     def __post_init__(self):
-        self.family = "trunc_power_law"
         super().__post_init__()
         s = 1.0 - self.params["alpha"]
         lam = self.params["lambda"]
@@ -205,9 +209,8 @@ class TruncPowerLaw(TailDistribution):
 
 
 class Exponential(TailDistribution):
-    def __post_init__(self):
-        self.family = "exponential"
-        super().__post_init__()
+    family = "exponential"
+    param_names = ("lambda",)
 
     def _validate(self):
         if not (self.params.get("lambda", 0) > 0):
@@ -230,9 +233,8 @@ class Exponential(TailDistribution):
 
 
 class StretchedExponential(TailDistribution):
-    def __post_init__(self):
-        self.family = "stretched_exponential"
-        super().__post_init__()
+    family = "stretched_exponential"
+    param_names = ("beta", "lambda")
 
     def _validate(self):
         if not (self.params.get("beta", 0) > 0):
@@ -261,8 +263,10 @@ class StretchedExponential(TailDistribution):
 
 
 class Lognormal(TailDistribution):
+    family = "lognormal"
+    param_names = ("mu", "sigma")
+
     def __post_init__(self):
-        self.family = "lognormal"
         super().__post_init__()
         mu, sigma = self.params["mu"], self.params["sigma"]
         self._z0 = (math.log(self.x_min) - mu) / sigma
@@ -298,9 +302,7 @@ class Lognormal(TailDistribution):
 
 
 class LognormalPositive(Lognormal):
-    def __post_init__(self):
-        Lognormal.__post_init__(self)
-        self.family = "lognormal_positive"
+    family = "lognormal_positive"
 
     def _validate(self):
         super()._validate()
@@ -308,23 +310,9 @@ class LognormalPositive(Lognormal):
             raise InvalidParams("lognormal_positive needs mu > 0")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    tag: str
-    param_names: tuple[str, ...]
-    cls: type
-
-
-FAMILIES: dict[str, FamilySpec] = {
-    "power_law": FamilySpec("power_law", ("alpha",), PowerLaw),
-    "trunc_power_law": FamilySpec("trunc_power_law", ("alpha", "lambda"), TruncPowerLaw),
-    "exponential": FamilySpec("exponential", ("lambda",), Exponential),
-    "stretched_exponential": FamilySpec("stretched_exponential", ("beta", "lambda"),
-                                        StretchedExponential),
-    "lognormal": FamilySpec("lognormal", ("mu", "sigma"), Lognormal),
-    "lognormal_positive": FamilySpec("lognormal_positive", ("mu", "sigma"),
-                                     LognormalPositive),
-}
+FAMILIES: dict[str, type[TailDistribution]] = {cls.family: cls for cls in (
+    PowerLaw, TruncPowerLaw, Exponential, StretchedExponential, Lognormal,
+    LognormalPositive)}
 
 FAMILY_ORDER = tuple(FAMILIES)
 
@@ -333,8 +321,8 @@ def make_distribution(family: str, params: dict[str, float], x_min: float) -> Ta
     """Evaluable tail distribution for a named family."""
     if family not in FAMILIES:
         raise InvalidParams(f"unknown family {family!r}")
-    spec = FAMILIES[family]
-    missing = set(spec.param_names) - set(params)
+    cls = FAMILIES[family]
+    missing = set(cls.param_names) - set(params)
     if missing:
         raise InvalidParams(f"{family} missing parameters {sorted(missing)}")
-    return spec.cls(params={k: float(params[k]) for k in spec.param_names}, x_min=float(x_min))
+    return cls(params={k: float(params[k]) for k in cls.param_names}, x_min=float(x_min))

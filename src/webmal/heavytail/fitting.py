@@ -729,7 +729,7 @@ def compare(data, fit_f: FitResult, family_g: str, *, restarts: int = DEFAULT_RE
     return ComparisonResult(r, p, favored, fit_f.family, family_g, fit_g)
 
 
-_N_PARAMS = {tag: len(spec.param_names) for tag, spec in FAMILIES.items()}
+_N_PARAMS = {tag: len(cls.param_names) for tag, cls in FAMILIES.items()}
 
 
 def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,

@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .errors import EmptyInput, InputError
-from .tables import read_table, where
+from .errors import EmptyInput
+from .tables import read_table
 
 
 @dataclass(frozen=True)
@@ -127,27 +127,30 @@ def extract_mdns(g: CooccurrenceGraph) -> list[ComponentSummary]:
 # ---------------------------------------------------------------------------
 # file formats
 
+COOCCUR_EDGE_HEADER = ("pld_a", "pld_b", "jaccard")
+COOCCUR_SET_HEADER = ("pld", "file_hash")
+
+
 def write_cooccurrence(g: CooccurrenceGraph, edge_path: str, sets_path: str) -> None:
     """Edge TSV (pld_a, pld_b, jaccard) plus the per-PLD file-set rows."""
     with open(edge_path, "w") as fh:
+        fh.write("\t".join(COOCCUR_EDGE_HEADER) + "\n")
         for (a, b) in sorted(g.edges):
             fh.write(f"{a}\t{b}\t{repr(float(g.edges[(a, b)]))}\n")
     with open(sets_path, "w") as fh:
+        fh.write("\t".join(COOCCUR_SET_HEADER) + "\n")
         for pld in g.nodes:
             for h in sorted(g.file_sets[pld]):
                 fh.write(f"{pld}\t{h}\n")
 
 
-def read_cooccurrence(edge_path: str, sets_path: str) -> CooccurrenceGraph:
+def read_cooccurrence(sets_path: str) -> CooccurrenceGraph:
+    """The graph rebuilt from its file-set rows; the edge table is a
+    derived view of the same sets, so it is not read."""
     sets: dict[str, set[str]] = {}
-    for pld, file_hash in zip(*read_table(sets_path, None, (str, str))):
+    for pld, file_hash in zip(*read_table(sets_path, COOCCUR_SET_HEADER, (str, str))):
         sets.setdefault(pld, set()).add(file_hash)
-    g = build_cooccurrence(sets)
-    a, b, _ = read_table(edge_path, None, (str, str, float))
-    for i, key in enumerate(zip(a, b)):
-        if key not in g.edges:
-            raise InputError(f"{where(edge_path, None, i)}: edge absent from file sets")
-    return g
+    return build_cooccurrence(sets)
 
 
 def mdn_components(g: CooccurrenceGraph) -> list[dict]:

@@ -1,14 +1,18 @@
 """Staged analysis pipeline with content-hash resumability.
 
 Each stage reads files, writes files into the run directory, and records a
-manifest entry holding the sha256 of every input it read plus the slice of
-the configuration it (or any upstream stage) depends on. A stage is skipped
-when that entry still matches and its outputs exist, so a rerun with nothing
-changed touches nothing, while changing e.g. the detection threshold reruns
-reputation scoring and everything downstream of it but not the graph build.
+manifest entry holding the sha256 of every input file it read, the values of
+its own configuration keys, and the sha256 of every output it wrote. A stage
+is skipped when all three still match, so a rerun with nothing changed
+touches nothing. A configuration change reruns the stages that read the
+changed key; a stage downstream of them reruns only when the bytes of its
+inputs changed (an early cutoff: a new detection threshold that flips no
+label rewrites reputation.tsv with the same bytes, and nothing after it
+reruns).
 
 Reports carry no timestamps and all JSON is emitted with sorted keys, so two
-runs from identical inputs and configuration are byte-identical.
+runs from identical inputs and configuration are byte-identical, whether
+cold or resumed from a run of another configuration.
 """
 
 from __future__ import annotations
@@ -86,14 +90,6 @@ class RunConfig:
     emit_tsv: bool = False
     workers: int = field(default_factory=_env_workers)
 
-    # fields that shape outputs; paths, tsv mirroring, and worker count
-    # deliberately excluded so neither relocation nor parallelism changes
-    # a report byte
-    _HASHED = ("tau", "strict_hosts", "damping", "pagerank_max_iter",
-               "hits_max_iter", "fit_features", "fit_max_n", "fit_restarts",
-               "fit_min_points", "split_seed", "feature_set", "threshold",
-               "l2", "epochs")
-
     def validate(self) -> None:
         for name in ("edges", "psl", "verdicts", "observations"):
             path = getattr(self, name)
@@ -121,15 +117,8 @@ class RunConfig:
         if self.l2 < 0:
             raise ConfigError("l2 must be nonnegative")
 
-    def hashed_dict(self) -> dict:
-        out = {}
-        for name in self._HASHED:
-            val = getattr(self, name)
-            out[name] = list(val) if isinstance(val, tuple) else val
-        return out
-
     def config_hash(self) -> str:
-        blob = json.dumps(self.hashed_dict(), sort_keys=True).encode()
+        blob = json.dumps(_config_slice(self, _HASHED), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
     @classmethod
@@ -159,6 +148,14 @@ class RunConfig:
         return cls.from_dict(d)
 
 
+def _config_slice(cfg: RunConfig, keys) -> dict:
+    out = {}
+    for k in keys:
+        v = getattr(cfg, k)
+        out[k] = list(v) if isinstance(v, tuple) else v
+    return out
+
+
 # ---------------------------------------------------------------------------
 # manifest helpers
 
@@ -181,8 +178,7 @@ def write_json(payload, path: str) -> None:
 @dataclass
 class Stage:
     name: str
-    config_keys: tuple[str, ...]
-    deps: tuple[str, ...]
+    config_keys: tuple[str, ...]                      # fields that shape outputs
     inputs: Callable[[RunConfig, dict], list[str]]   # absolute paths
     outputs: tuple[str, ...]                          # names inside out_dir
     run: Callable[[RunConfig, dict], None]
@@ -356,7 +352,7 @@ def _stage_fits(cfg: RunConfig, paths: dict) -> None:
             results = list(pool.map(_fit_unit, units))
     else:
         results = [_fit_unit(u) for u in units]
-    report: dict = {"config_hash": cfg.config_hash(), "features": {}}
+    report: dict = {"features": {}}
     for feature, population, payload in results:
         report["features"].setdefault(feature, {})[population] = payload
     write_json(report, paths["fits.json"])
@@ -368,9 +364,8 @@ def _stage_cooccur(cfg: RunConfig, paths: dict) -> None:
 
 
 def _stage_mdn(cfg: RunConfig, paths: dict) -> None:
-    g = read_cooccurrence(paths["cooccur_edges.tsv"], paths["cooccur_sets.tsv"])
-    write_json({"config_hash": cfg.config_hash(),
-                "components": mdn_components(g)}, paths["mdns.json"])
+    g = read_cooccurrence(paths["cooccur_sets.tsv"])
+    write_json({"components": mdn_components(g)}, paths["mdns.json"])
 
 
 def _stage_features(cfg: RunConfig, paths: dict) -> None:
@@ -384,7 +379,7 @@ def _stage_train(cfg: RunConfig, paths: dict) -> None:
         paths["features.tsv"], paths["graph_nodes.tsv"], paths["graph_edges.tsv"],
         paths["model.json"], paths["model_stacked.json"], seed=cfg.split_seed,
         l2=cfg.l2, threshold=cfg.threshold, epochs=cfg.epochs)
-    payload.update(config_hash=cfg.config_hash(), feature_set=cfg.feature_set,
+    payload.update(feature_set=cfg.feature_set,
                    split={"train": len(res.plan.train), "test": len(res.plan.test),
                           "validation": len(res.plan.validation),
                           "seed": cfg.split_seed})
@@ -392,57 +387,41 @@ def _stage_train(cfg: RunConfig, paths: dict) -> None:
 
 
 STAGES: tuple[Stage, ...] = (
-    Stage("build-graph", ("strict_hosts",), (),
+    Stage("build-graph", ("strict_hosts",),
           lambda cfg, p: [cfg.edges, cfg.psl],
           ("graph_nodes.tsv", "graph_edges.tsv"), _stage_build_graph),
     Stage("metrics", ("damping", "pagerank_max_iter", "hits_max_iter"),
-          ("build-graph",),
           lambda cfg, p: [p["graph_nodes.tsv"], p["graph_edges.tsv"]],
           ("metrics.tsv",), _stage_metrics),
-    Stage("reputation", ("tau",), (),
+    Stage("reputation", ("tau",),
           lambda cfg, p: [cfg.verdicts, cfg.observations],
           ("reputation.tsv",), _stage_reputation),
-    Stage("dga", (), ("build-graph",),
+    Stage("dga", (),
           lambda cfg, p: [p["graph_nodes.tsv"]],
           ("dga.tsv",), _stage_dga),
     Stage("fits", ("fit_features", "fit_max_n", "fit_restarts", "fit_min_points"),
-          ("metrics", "reputation"),
           lambda cfg, p: [p["metrics.tsv"], p["reputation.tsv"]],
           ("fits.json",), _stage_fits),
-    Stage("cooccur", ("tau",), ("reputation",),
+    Stage("cooccur", ("tau",),
           lambda cfg, p: [cfg.verdicts, cfg.observations],
           ("cooccur_edges.tsv", "cooccur_sets.tsv"), _stage_cooccur),
-    Stage("mdn", (), ("cooccur",),
-          lambda cfg, p: [p["cooccur_edges.tsv"], p["cooccur_sets.tsv"]],
+    Stage("mdn", (),
+          lambda cfg, p: [p["cooccur_sets.tsv"]],
           ("mdns.json",), _stage_mdn),
-    Stage("features", ("feature_set",), ("metrics", "reputation", "dga"),
+    Stage("features", ("feature_set",),
           lambda cfg, p: ([p["metrics.tsv"], p["reputation.tsv"], p["dga.tsv"]]
                           + ([cfg.alexa] if cfg.alexa else [])),
           ("features.tsv",), _stage_features),
-    Stage("train", ("split_seed", "threshold", "l2", "epochs"),
-          ("features", "build-graph"),
+    Stage("train", ("split_seed", "threshold", "l2", "epochs", "feature_set"),
           lambda cfg, p: [p["features.tsv"], p["graph_nodes.tsv"],
                           p["graph_edges.tsv"]],
           ("model.json", "model_stacked.json", "eval.json"), _stage_train),
 )
 
-_STAGE_BY_NAME = {s.name: s for s in STAGES}
-
-
-def _cumulative_config(cfg: RunConfig, stage: Stage) -> dict:
-    """The stage's own config slice plus every ancestor's, so a change
-    upstream invalidates the whole downstream chain."""
-    keys: set[str] = set()
-    frontier = [stage.name]
-    while frontier:
-        s = _STAGE_BY_NAME[frontier.pop()]
-        keys.update(s.config_keys)
-        frontier.extend(s.deps)
-    out = {}
-    for k in sorted(keys):
-        v = getattr(cfg, k)
-        out[k] = list(v) if isinstance(v, tuple) else v
-    return out
+# the fields that shape some output: paths, tsv mirroring and the worker
+# count are not among them, so neither relocation nor parallelism changes a
+# report byte
+_HASHED = tuple(sorted({k for s in STAGES for k in s.config_keys}))
 
 
 def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> RunResult:
@@ -477,7 +456,7 @@ def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> Ru
         input_paths = stage.inputs(cfg, paths)
         in_hashes = {f"{i}:{os.path.basename(p)}": sha(p)
                      for i, p in enumerate(input_paths)}
-        stage_cfg = _cumulative_config(cfg, stage)
+        stage_cfg = _config_slice(cfg, stage.config_keys)
         entry = manifest["stages"].get(stage.name)
         up_to_date = (
             isinstance(entry, dict)

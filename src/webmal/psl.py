@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import MalformedRule, NoHost, SuffixOnly, UnknownSuffix
+from .tables import _checked
 
 _PRIVATE_BEGIN = "===BEGIN PRIVATE DOMAINS==="
 _PRIVATE_END = "===END PRIVATE DOMAINS==="
@@ -79,8 +80,12 @@ def parse_psl(text: str, include_private: bool = True) -> SuffixRules:
 
 
 def load_psl(path: str, include_private: bool = True) -> SuffixRules:
-    with open(path, encoding="utf-8") as fh:
-        return parse_psl(fh.read(), include_private=include_private)
+    """Parse a rules file; a line that is not UTF-8 text is an InputError
+    naming its line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = "\n".join(_checked(path, lineno, line)
+                         for lineno, line in enumerate(fh, 1))
+    return parse_psl(text, include_private=include_private)
 
 
 def _host_of(url: str) -> str:

@@ -225,9 +225,13 @@ def write_observations(profiles: Iterable[PldFileProfile], path: str) -> None:
                 fh.write(f"{prof.pld}\t{h}\t{prof.files[h]}\n")
 
 
+REPUTATION_HEADER = ("pld", "dichotomy", "r_bar", "n_unique", "total", "entropy")
+
+
 def write_reputation(rows: Iterable[PldReputation], path: str) -> None:
     """Write score rows: pld, dichotomy, r_bar, N, TF, H."""
     with open(path, "w") as fh:
+        fh.write("\t".join(REPUTATION_HEADER) + "\n")
         for r in rows:
             fh.write(f"{r.pld}\t{r.dichotomy}\t{repr(float(r.r_bar))}\t"
                      f"{r.n_unique}\t{r.total}\t{repr(float(r.entropy))}\n")
@@ -235,10 +239,11 @@ def write_reputation(rows: Iterable[PldReputation], path: str) -> None:
 
 def read_reputation(path: str) -> list[PldReputation]:
     plds, dichotomy, r_bar, n_unique, total, entropy = read_table(
-        path, None, (str, str, float, int, int, float))
+        path, REPUTATION_HEADER, (str, str, float, int, int, float))
     for i, label in enumerate(dichotomy):
         if label not in ("clean", "malicious"):
-            raise InputError(f"{where(path, None, i)}: bad dichotomy {label!r}")
+            raise InputError(f"{where(path, REPUTATION_HEADER, i)}: bad dichotomy "
+                             f"{label!r}")
     return [PldReputation(*row) for row in zip(
         plds, dichotomy, r_bar.tolist(), n_unique.tolist(), total.tolist(),
         entropy.tolist())]

@@ -124,7 +124,7 @@ def test_stage_commands_match_run(tmp_path, corpus):
     assert mdns["components"]
     assert json.loads(open(cli["mdn_list.json"]).read()) == mdns["components"]
     run_eval = json.loads((run_dir / "eval.json").read_text())
-    for key in ("config_hash", "feature_set", "split"):
+    for key in ("feature_set", "split"):
         del run_eval[key]
     assert json.loads(open(cli["eval.json"]).read()) == run_eval
 
@@ -185,7 +185,8 @@ def _feature_inputs(tmp_path):
                        "a.com\t1\t1\t2\t0.5\t0.5\t0.5\t0\t3\n"
                        "b.com\t1\t1\t2\t0.5\t0.5\t0.5\t0\t3\n")
     reputation = tmp_path / "reputation.tsv"
-    reputation.write_text("a.com\tclean\t0.0\t1\t1\t0.0\n"
+    reputation.write_text("pld\tdichotomy\tr_bar\tn_unique\ttotal\tentropy\n"
+                          "a.com\tclean\t0.0\t1\t1\t0.0\n"
                           "b.com\tmalicious\t1.0\t1\t1\t0.0\n")
     dga = tmp_path / "dga.tsv"
     dga.write_text("pld\tscore\tverdict\n"
@@ -213,13 +214,13 @@ def test_features_malformed_number_is_input_error(tmp_path, capsys):
     ("metrics", "b.com\t1\t1\t2\t0.5\t0.5\t0.5\t0\t3", "b.com\t1\t1\t2",
      "metrics.tsv:3: expected 9 fields, got 4"),
     ("reputation", "malicious\t1.0", "malicious\tx",
-     "reputation.tsv:2: not a number: 'x'"),
+     "reputation.tsv:3: not a number: 'x'"),
     ("reputation", "clean\t0.0\t1\t1\t0.0", "clean\t0.0\t1\t1\t?",
-     "reputation.tsv:1: not a number: '?'"),
+     "reputation.tsv:2: not a number: '?'"),
     ("reputation", "malicious\t1.0\t1", "malicious\t1.0\tx",
-     "reputation.tsv:2: not an integer: 'x'"),
+     "reputation.tsv:3: not an integer: 'x'"),
     ("reputation", "clean\t0.0\t1\t1", "clean\t0.0\t1\t1.5",
-     "reputation.tsv:1: not an integer: '1.5'"),
+     "reputation.tsv:2: not an integer: '1.5'"),
 ], ids=["metrics-short-row", "reputation-r_bar", "reputation-H", "reputation-N",
         "reputation-TF"])
 def test_features_malformed_table_is_input_error(tmp_path, capsys, table, old,
@@ -292,6 +293,69 @@ def test_non_utf8_byte_is_input_error(tmp_path, corpus, capsys):
                "--out", str(tmp_path / "r.tsv")])
     assert rc == 1
     assert f"input error: {bad}:2: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_non_utf8_psl_line_is_input_error(tmp_path, corpus, capsys):
+    bad = tmp_path / "psl.dat"
+    bad.write_bytes(b"com\n\xff\n")
+    rc = main(["build-graph", "--edges", os.path.join(corpus, "edges.tsv"),
+               "--psl", str(bad), "--out-nodes", str(tmp_path / "n.tsv"),
+               "--out-edges", str(tmp_path / "e.tsv")])
+    assert rc == 1
+    assert f"input error: {bad}:2: not UTF-8 text" in capsys.readouterr().err
+
+
+# flag, its text, the RunConfig field it sets, and the value it must reach
+RUN_FLAGS = [
+    ("--edges", "e2.tsv", "edges", "e2.tsv"),
+    ("--psl", "p2.dat", "psl", "p2.dat"),
+    ("--verdicts", "v2.tsv", "verdicts", "v2.tsv"),
+    ("--observations", "o2.tsv", "observations", "o2.tsv"),
+    ("--alexa", "a2.tsv", "alexa", "a2.tsv"),
+    ("--out-dir", "run2", "out_dir", "run2"),
+    ("--tau", "0.25", "tau", 0.25),
+    ("--feature-set", "centrality", "feature_set", "centrality"),
+    ("--split-seed", "7", "split_seed", 7),
+    ("--threshold", "0.3", "threshold", 0.3),
+    ("--fit-features", "num_pages, indegree,", "fit_features",
+     ("num_pages", "indegree")),
+    ("--fit-max-n", "123", "fit_max_n", 123),
+    ("--epochs", "9", "epochs", 9),
+    ("--l2", "0.5", "l2", 0.5),
+    ("--workers", "3", "workers", 3),
+    ("--tsv", None, "emit_tsv", True),
+]
+
+
+def test_run_flags_are_all_listed():
+    from webmal.cli import build_parser
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    flags = {opt for a in sub.choices["run"]._actions for opt in a.option_strings}
+    assert flags - {"-h", "--help", "--config"} == {f[0] for f in RUN_FLAGS}
+
+
+@pytest.mark.parametrize("flag, text, name, value", RUN_FLAGS,
+                         ids=[f[0] for f in RUN_FLAGS])
+def test_run_flag_reaches_the_config(tmp_path, monkeypatch, flag, text, name, value):
+    from webmal import pipeline
+    seen = []
+
+    def fake_run(cfg, log=None):
+        seen.append(cfg)
+        return pipeline.RunResult(cfg.out_dir, {}, [], [])
+
+    monkeypatch.setattr(pipeline, "run_pipeline", fake_run)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({k: k for k in ("edges", "psl", "verdicts",
+                                                   "observations", "out_dir")}))
+    argv = ["run", "--config", str(cfg_path), flag] + ([text] if text else [])
+    assert main(argv) == 0
+    assert getattr(seen[0], name) == value
+    # the flags left out keep the config file's values and the defaults
+    default = pipeline.RunConfig.from_json(str(cfg_path))
+    for field in ("tau", "feature_set", "emit_tsv", "edges"):
+        if field != name:
+            assert getattr(seen[0], field) == getattr(default, field)
 
 
 def test_zero_malicious_cooccur(tmp_path):

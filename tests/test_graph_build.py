@@ -190,3 +190,13 @@ def test_gzip_edge_file(tmp_path):
     g = build_from_file(str(path), RULES)
     assert g.plds == ["a.com", "b.com"]
     assert g.skipped_rows == 1
+
+
+def test_non_utf8_row_is_skipped(tmp_path):
+    path = tmp_path / "edges.tsv"
+    path.write_bytes(b"http://a.com/1\thttp://b.com/2\n"
+                     b"http://a.com/\xff\thttp://b.com/3\n"
+                     + "http://b.com/\u00fc\thttp://a.com/1\n".encode("utf-8"))
+    g = build_from_file(str(path), RULES)
+    assert (g.skipped_rows, g.ingested_rows) == (1, 2)
+    assert g.plds == ["a.com", "b.com"] and g.page_counts.tolist() == [1, 2]

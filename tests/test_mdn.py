@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webmal.errors import EmptyInput, InputError
+from webmal.errors import EmptyInput
 from webmal.mdn import (CooccurrenceGraph, build_cooccurrence, extract_mdns,
                         mdn_components, read_cooccurrence, write_cooccurrence)
 from webmal.oracles import oracle_jaccard, oracle_mdns
@@ -200,8 +200,9 @@ def test_roundtrip(tmp_path):
     g = build_cooccurrence(sets)
     epath, spath = str(tmp_path / "edges.tsv"), str(tmp_path / "sets.tsv")
     write_cooccurrence(g, epath, spath)
-    back = read_cooccurrence(epath, spath)
-    assert back == g
+    assert read_cooccurrence(spath) == g
+    with open(epath) as fh:
+        assert fh.read() == "pld_a\tpld_b\tjaccard\na.com\tb.com\t0.5\n"
 
 
 def test_components_json_deterministic():
@@ -213,10 +214,3 @@ def test_components_json_deterministic():
         {"id": 2, "size": 1, "members": ["c.com"], "shared_files": 0,
          "mean_weight": 0.0}]
     assert text == json.dumps(mdn_components(g), sort_keys=True)
-
-
-def test_read_rejects_orphan_edge(tmp_path):
-    (tmp_path / "sets.tsv").write_text("a.com\tf1\nb.com\tf2\n")
-    (tmp_path / "edges.tsv").write_text("a.com\tb.com\t0.5\n")
-    with pytest.raises(InputError):
-        read_cooccurrence(str(tmp_path / "edges.tsv"), str(tmp_path / "sets.tsv"))

@@ -1,12 +1,14 @@
-"""Staged pipeline: manifest skipping, rerun cascades, determinism."""
+"""Staged pipeline: manifest skipping, early cutoff, determinism."""
 
 import json
 import os
+import sys
 
 import pytest
 
 from webmal.errors import ConfigError, InputError
-from webmal.pipeline import RunConfig, emit_tsv_reports, file_sha256, run_pipeline
+from webmal.pipeline import (STAGES, RunConfig, emit_tsv_reports, file_sha256,
+                             run_pipeline)
 from webmal.synthlab import default_spec, plant_crawl, write_corpus
 
 STAGE_NAMES = ("build-graph", "metrics", "reputation", "dga", "fits",
@@ -46,18 +48,21 @@ def report_hashes(out_dir):
     return {n: file_sha256(os.path.join(out_dir, n)) for n in names}
 
 
+def dir_bytes(out_dir):
+    return {name: open(os.path.join(out_dir, name), "rb").read()
+            for name in sorted(os.listdir(out_dir))}
+
+
 def test_full_run_writes_nine_stages(tmp_path, corpus_dir):
     cfg = make_config(corpus_dir, str(tmp_path / "run"))
     res = run_pipeline(cfg)
     assert res.executed == list(STAGE_NAMES)
     assert set(res.manifest["stages"]) == set(STAGE_NAMES)
-    for stage in STAGE_NAMES:
-        entry = res.manifest["stages"][stage]
+    for stage in STAGES:
+        entry = res.manifest["stages"][stage.name]
         assert entry["status"] == "done"
         assert entry["outputs"]
-    for rep in ("fits.json", "mdns.json", "eval.json"):
-        payload = json.loads(open(os.path.join(cfg.out_dir, rep)).read())
-        assert payload["config_hash"] == cfg.config_hash()
+        assert sorted(entry["config"]) == sorted(stage.config_keys)
 
 
 def test_rerun_skips_everything(tmp_path, corpus_dir):
@@ -111,16 +116,94 @@ def test_damaged_output_reruns_its_stage(tmp_path, corpus_dir):
     assert report_hashes(cfg.out_dir) == before
 
 
+def test_tau_that_flips_no_label_stops_after_its_stages(tmp_path, corpus_dir):
+    cfg = make_config(corpus_dir, str(tmp_path / "run"))
+    run_pipeline(cfg)
+    before = report_hashes(cfg.out_dir)
+    # every planted detection ratio is >= 1/56, so this tau flips no labels:
+    # the two stages that read tau rewrite their tables with the same bytes,
+    # and nothing that reads those tables reruns
+    res = run_pipeline(make_config(corpus_dir, cfg.out_dir, tau=0.01))
+    assert res.executed == ["reputation", "cooccur"]
+    assert report_hashes(cfg.out_dir) == before
+
+
 def test_tau_change_reruns_reputation_and_downstream(tmp_path, corpus_dir):
     cfg = make_config(corpus_dir, str(tmp_path / "run"))
     run_pipeline(cfg)
-    # every planted detection ratio is >= 1/56, so this tau flips no labels;
-    # the cascade must still rerun everything that depends on tau
-    cfg2 = make_config(corpus_dir, str(tmp_path / "run"), tau=0.01)
-    res = run_pipeline(cfg2)
-    assert set(res.skipped) == {"build-graph", "metrics", "dga"}
-    assert set(res.executed) == {"reputation", "fits", "cooccur", "mdn",
-                                 "features", "train"}
+    res = run_pipeline(make_config(corpus_dir, cfg.out_dir, tau=0.1))
+    assert res.skipped == ["build-graph", "metrics", "dga"]
+    assert res.executed == ["reputation", "fits", "cooccur", "mdn", "features",
+                            "train"]
+
+
+@pytest.mark.parametrize("change", [{"feature_set": "centrality"},
+                                    {"fit_restarts": 3}],
+                         ids=["feature_set", "fit_restarts"])
+def test_resumed_run_is_byte_identical_to_cold_run(tmp_path, corpus_dir, change):
+    resumed = str(tmp_path / "resumed")
+    run_pipeline(make_config(corpus_dir, resumed))
+    run_pipeline(make_config(corpus_dir, resumed, **change))
+    cold = str(tmp_path / "cold")
+    run_pipeline(make_config(corpus_dir, cold, **change))
+    assert dir_bytes(resumed) == dir_bytes(cold)
+
+
+class _RecordingConfig:
+    def __init__(self, cfg):
+        self._cfg, self.read = cfg, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._cfg, name)
+
+
+class _RecordingPaths(dict):
+    def __init__(self, paths):
+        super().__init__(paths)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+# an audit hook cannot be removed, so it is installed once and records only
+# while _opened is a list: the files opened while a stage runs
+_opened: list[str] | None = None
+
+
+def _record_open(event, args):
+    if _opened is not None and event == "open" and isinstance(args[0], str):
+        _opened.append(os.path.realpath(args[0]))
+
+
+sys.addaudithook(_record_open)
+
+
+def test_each_stage_reads_only_what_it_declares(tmp_path, corpus_dir):
+    global _opened
+    cfg = make_config(corpus_dir, str(tmp_path / "run"), workers=1)
+    run_pipeline(cfg)
+    paths = {name: os.path.join(cfg.out_dir, name)
+             for stage in STAGES for name in stage.outputs}
+    path_fields = ("edges", "psl", "verdicts", "observations", "alexa")
+    for stage in STAGES:
+        inputs = stage.inputs(cfg, paths)
+        declared = inputs + [paths[name] for name in stage.outputs]
+        rec_cfg, rec_paths = _RecordingConfig(cfg), _RecordingPaths(paths)
+        _opened = []
+        try:
+            stage.run(rec_cfg, rec_paths)
+        finally:
+            opened, _opened = _opened, None
+        input_fields = {f for f in path_fields if getattr(cfg, f) in inputs}
+        assert rec_cfg.read <= set(stage.config_keys) | input_fields | {"workers"}, \
+            stage.name
+        assert rec_paths.read <= {os.path.basename(p) for p in declared}, stage.name
+        roots = (os.path.realpath(str(tmp_path)), os.path.realpath(corpus_dir))
+        assert {p for p in opened if p.startswith(roots)} <= {
+            os.path.realpath(p) for p in declared}, stage.name
 
 
 def test_input_change_reruns_graph_chain(tmp_path, corpus_dir):

@@ -11,18 +11,16 @@ from webmal import cli, pipeline
 from webmal.dga import DGA_HEADER, read_dga_scores
 from webmal.errors import EmptyInput, InputError
 from webmal.graph import EDGE_HEADER, NODE_HEADER, read_graph
-from webmal.mdn import read_cooccurrence
+from webmal.mdn import COOCCUR_SET_HEADER, read_cooccurrence
 from webmal.metrics import METRICS_HEADER, read_metrics
 from webmal.predict import read_alexa, read_features
-from webmal.reputation import (read_observations, read_reputation,
-                               read_verdicts)
+from webmal.reputation import (REPUTATION_HEADER, read_observations,
+                               read_reputation, read_verdicts)
 from webmal.synthlab import read_labels
 from webmal.tables import _read_rows, read_table
 
 _NODES = "pld\tnode_id\tpage_count\na.com\t0\t2\nb.com\t1\t1\n"
 _EDGES = "src_id\tdst_id\tweight\n0\t1\t3\n"
-_SETS = "a.com\tf1\nb.com\tf1\n"
-_PAIRS = "a.com\tb.com\t1.0\n"
 
 
 def _with(companion_name, companion_text, call):
@@ -64,13 +62,11 @@ READERS = {
                  "h2\tx\t1f", "not an integer: 'x'"),
     "observations": (lambda p, t: read_observations(p), None, "a.com\th1\t2\n",
                      "a.com\th2", "a.com\th2\t1.5", "not an integer: '1.5'"),
-    "reputation": (lambda p, t: read_reputation(p), None,
+    "reputation": (lambda p, t: read_reputation(p), REPUTATION_HEADER,
                    "a.com\tclean\t0.0\t1\t1\t0.0\n", "b.com\tclean",
                    "b.com\tclean\tx\t1\t1\t0.0", "not a number: 'x'"),
-    "cooccur-sets": (_with("pairs.tsv", _PAIRS, lambda p, o: read_cooccurrence(o, p)),
-                     None, _SETS, "c.com", None, None),
-    "cooccur-edges": (_with("sets.tsv", _SETS, read_cooccurrence), None, _PAIRS,
-                      "a.com\tb.com", "a.com\tb.com\tx", "not a number: 'x'"),
+    "cooccur-sets": (lambda p, t: read_cooccurrence(p), COOCCUR_SET_HEADER,
+                     "a.com\tf1\nb.com\tf1\n", "c.com", None, None),
     "features": (lambda p, t: read_features(p), ("pld", "f1", "label"),
                  "a.com\t0.5\t0\n", "b.com\t0.5", "b.com\tx\t1",
                  "not a number: 'x'"),
@@ -126,7 +122,7 @@ def test_empty_tables_keep_their_results(tmp_path):
         warnings.simplefilter("error")
         assert read_metrics(table("m.tsv", "\t".join(METRICS_HEADER) + "\n")).plds == []
         assert read_observations(table("o.tsv", "")) == []
-        assert read_reputation(table("r.tsv", "")) == []
+        assert read_reputation(table("r.tsv", "\t".join(REPUTATION_HEADER) + "\n")) == []
         assert read_dga_scores(table("d.tsv", "\t".join(DGA_HEADER) + "\n")) == {}
         assert read_alexa(table("a.tsv", "\n")) == {}
         with pytest.raises(InputError, match="no verdict rows"):
