@@ -78,18 +78,18 @@ def cmd_score(args) -> None:
 
 
 def cmd_dga(args) -> None:
-    from .dga import read_table
+    from .dga import read_freq_table
     from .pipeline import score_names
-    from .tables import read_table as read_tsv
-    table = read_table(args.table) if args.table else None
-    names = [n.strip() for n in read_tsv(args.names, None, (str,))[0] if n.strip()]
+    from .tables import read_table
+    table = read_freq_table(args.table) if args.table else None
+    names = [n.strip() for n in read_table(args.names, None, (str,))[0] if n.strip()]
     score_names(names, args.out, table=table)
     print(f"{len(names)} names scored -> {args.out}")
 
 
 def cmd_fit(args) -> None:
-    from .pipeline import fit_values, write_json
-    from .tables import read_table
+    from .pipeline import fit_values
+    from .tables import read_table, write_json
     (values,) = read_table(args.values, None, (float,))
     params = {"restarts": args.restarts}
     if args.families:
@@ -101,7 +101,8 @@ def cmd_fit(args) -> None:
 
 def cmd_cooccur(args) -> None:
     from .mdn import mdn_components
-    from .pipeline import build_cooccur, write_json
+    from .pipeline import build_cooccur
+    from .tables import write_json
     g = build_cooccur(args.verdicts, args.observations, args.out_edges,
                       args.out_sets, tau=args.tau)
     msg = f"{g.n_nodes} nodes, {g.n_edges} edges"
@@ -121,7 +122,8 @@ def cmd_features(args) -> None:
 
 
 def cmd_train(args) -> None:
-    from .pipeline import train_classifiers, write_json
+    from .pipeline import train_classifiers
+    from .tables import write_json
     res, payload = train_classifiers(
         args.features, args.nodes, args.edges, args.out_model, args.out_stacked,
         seed=args.seed, l2=args.l2, threshold=args.threshold, epochs=args.epochs)
@@ -131,8 +133,8 @@ def cmd_train(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
-    from .pipeline import write_json
     from .predict import evaluate, predict_proba, read_features, read_model
+    from .tables import write_json
     model = read_model(args.model)
     fm = read_features(args.features)
     cols = [fm.feature_names.index(n) for n in model.feature_names

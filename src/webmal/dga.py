@@ -12,12 +12,13 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
 
-from . import tables
 from .errors import EmptyCorpus, InputError, UntrainedTable
+from .tables import read_table, write_json, write_table
 
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 DEFAULT_SMOOTHING = 1e-3
@@ -139,15 +140,12 @@ def score_pld_name(pld: str, table: FreqTable) -> float:
 # ---------------------------------------------------------------------------
 # persistence
 
-def write_table(table: FreqTable, path: str) -> None:
-    payload = {
+def write_freq_table(table: FreqTable, path: str) -> None:
+    write_json({
         "alphabet": table.alphabet,
         "counts": [int(c) for c in table.counts.reshape(-1)],
         "smoothing": table.smoothing,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    }, path)
 
 
 def _table_from_payload(payload: dict, where: str) -> FreqTable:
@@ -165,7 +163,7 @@ def _table_from_payload(payload: dict, where: str) -> FreqTable:
                      smoothing=float(smoothing))
 
 
-def read_table(path: str) -> FreqTable:
+def read_freq_table(path: str) -> FreqTable:
     with open(path) as fh:
         payload = json.load(fh)
     return _table_from_payload(payload, path)
@@ -176,15 +174,14 @@ DGA_HEADER = ("pld", "score", "verdict")
 
 def write_dga_scores(scores: Iterable[tuple[str, float]], path: str) -> None:
     """dga.tsv: one (pld, score, verdict) row per name, under a header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(DGA_HEADER) + "\n")
-        for name, s in scores:
-            fh.write(f"{name}\t{s!r}\t{classify_dga(s)}\n")
+    rows = list(scores)
+    write_table(path, DGA_HEADER, (map(itemgetter(0), rows), map(itemgetter(1), rows),
+                                   (classify_dga(s) for _, s in rows)))
 
 
 def read_dga_scores(path: str) -> dict[str, float]:
     """pld -> score from a dga.tsv written by write_dga_scores."""
-    plds, scores, _ = tables.read_table(path, DGA_HEADER, (str, float, str))
+    plds, scores, _ = read_table(path, DGA_HEADER, (str, float, str))
     return dict(zip(plds, scores.tolist()))
 
 

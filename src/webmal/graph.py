@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .errors import EmptyInput, InputError
 from .psl import SuffixRules, pld_of_host, _host_of
-from .tables import open_text, read_table, where
+from .tables import open_text, read_table, where, write_table
 
 
 @dataclass
@@ -173,14 +173,8 @@ EDGE_HEADER = ("src_id", "dst_id", "weight")
 
 
 def write_graph(g: PldGraph, node_path: str, edge_path: str) -> None:
-    with open(node_path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(NODE_HEADER) + "\n")
-        for i, pld in enumerate(g.plds):
-            fh.write(f"{pld}\t{i}\t{g.page_counts[i]}\n")
-    with open(edge_path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(EDGE_HEADER) + "\n")
-        for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight):
-            fh.write(f"{s}\t{d}\t{w}\n")
+    write_table(node_path, NODE_HEADER, (g.plds, range(len(g.plds)), g.page_counts))
+    write_table(edge_path, EDGE_HEADER, (g.edge_src, g.edge_dst, g.edge_weight))
 
 
 def read_graph(node_path: str, edge_path: str) -> PldGraph:

@@ -11,10 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import EmptyInput
-from .tables import read_table
+from .tables import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -133,15 +134,10 @@ COOCCUR_SET_HEADER = ("pld", "file_hash")
 
 def write_cooccurrence(g: CooccurrenceGraph, edge_path: str, sets_path: str) -> None:
     """Edge TSV (pld_a, pld_b, jaccard) plus the per-PLD file-set rows."""
-    with open(edge_path, "w") as fh:
-        fh.write("\t".join(COOCCUR_EDGE_HEADER) + "\n")
-        for (a, b) in sorted(g.edges):
-            fh.write(f"{a}\t{b}\t{repr(float(g.edges[(a, b)]))}\n")
-    with open(sets_path, "w") as fh:
-        fh.write("\t".join(COOCCUR_SET_HEADER) + "\n")
-        for pld in g.nodes:
-            for h in sorted(g.file_sets[pld]):
-                fh.write(f"{pld}\t{h}\n")
+    rows = [(a, b, float(w)) for (a, b), w in sorted(g.edges.items())]
+    write_table(edge_path, COOCCUR_EDGE_HEADER, [map(itemgetter(i), rows) for i in range(3)])
+    rows = [(pld, h) for pld in g.nodes for h in sorted(g.file_sets[pld])]
+    write_table(sets_path, COOCCUR_SET_HEADER, [map(itemgetter(i), rows) for i in (0, 1)])
 
 
 def read_cooccurrence(sets_path: str) -> CooccurrenceGraph:

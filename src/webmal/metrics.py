@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components as _cs_components
 
 from .errors import InputError
 from .graph import PldGraph
-from .tables import read_table, where
+from .tables import read_table, where, write_table
 
 log = logging.getLogger(__name__)
 
@@ -212,12 +212,9 @@ METRICS_HEADER = ("pld", "indeg", "outdeg", "total", "pagerank", "hub", "auth",
 
 def write_metrics(m: NodeMetrics, path: str) -> None:
     pages = m.num_pages if m.num_pages is not None else np.zeros(len(m.plds), np.int64)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(METRICS_HEADER) + "\n")
-        for i, pld in enumerate(m.plds):
-            fh.write(f"{pld}\t{m.indegree[i]}\t{m.outdegree[i]}\t{m.total_degree[i]}\t"
-                     f"{float(m.pagerank[i])!r}\t{float(m.hub[i])!r}\t"
-                     f"{float(m.authority[i])!r}\t{m.triangles[i]}\t{pages[i]}\n")
+    write_table(path, METRICS_HEADER, (
+        m.plds, m.indegree, m.outdegree, m.total_degree, m.pagerank, m.hub,
+        m.authority, m.triangles, pages))
 
 
 def read_metrics(path: str) -> NodeMetrics:

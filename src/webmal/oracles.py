@@ -242,21 +242,6 @@ def oracle_mdns(g: CooccurrenceGraph) -> list[dict]:
     return out
 
 
-def oracle_ks(data: np.ndarray, cdf) -> float:
-    """Two-sided KS distance recomputed with explicit counting loops."""
-    xs = np.asarray(data, dtype=float)
-    n = len(xs)
-    if n == 0:
-        raise ValueError("empty data")
-    best = 0.0
-    for x in np.unique(xs):
-        below = sum(1 for v in xs if v < x)
-        at_or_below = sum(1 for v in xs if v <= x)
-        p = float(cdf(x))
-        best = max(best, abs(below / n - p), abs(at_or_below / n - p))
-    return best
-
-
 def oracle_tail_loglik(stats, family: str, params: dict[str, float]) -> float:
     """Tail log-likelihood of one family from a parameter dict.
 

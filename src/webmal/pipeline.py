@@ -44,7 +44,7 @@ from .psl import load_psl
 from .reputation import (PldReputation, malicious_file_sets, read_observations,
                          read_reputation, read_verdicts, score_plds,
                          write_reputation)
-from .tables import read_table
+from .tables import read_table, write_json, write_table
 
 WORKERS_ENV = "WEBMAL_WORKERS"
 
@@ -165,14 +165,6 @@ def file_sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def write_json(payload, path: str) -> None:
-    """Compact JSON with sorted keys and a trailing newline: the byte format
-    of every JSON report."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
 
 
 @dataclass
@@ -503,44 +495,35 @@ def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> Ru
 # flat-table mirrors of the JSON reports
 
 def emit_tsv_reports(out_dir: str) -> list[str]:
+    """A flat TSV mirror beside each JSON report in out_dir; returns their paths."""
     written = []
-    eval_path = os.path.join(out_dir, "eval.json")
-    if os.path.exists(eval_path):
-        with open(eval_path, encoding="utf-8") as fh:
-            rep = json.load(fh)
-        path = os.path.join(out_dir, "eval.tsv")
-        cols = ("AUC", "F1", "TP", "TN", "FP", "FN", "TPR", "TNR", "FPR",
-                "FNR", "threshold")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("model\t" + "\t".join(cols) + "\n")
-            for name in ("base", "stacked"):
-                row = rep[name]
-                fh.write(name + "\t" + "\t".join(repr(row[c]) if isinstance(row[c], float)
-                                                 else str(row[c]) for c in cols) + "\n")
-        written.append(path)
-    fits_path = os.path.join(out_dir, "fits.json")
-    if os.path.exists(fits_path):
-        with open(fits_path, encoding="utf-8") as fh:
-            rep = json.load(fh)
-        path = os.path.join(out_dir, "fits.tsv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("feature\tpopulation\tn\tselection\tflag\tcandidates\n")
-            for feature in sorted(rep.get("features", {})):
-                for population in sorted(rep["features"][feature]):
-                    u = rep["features"][feature][population]
-                    fh.write(f"{feature}\t{population}\t{u.get('n', 0)}\t"
-                             f"{u.get('selection')}\t{u.get('flag')}\t"
-                             f"{','.join(u.get('candidates', []))}\n")
-        written.append(path)
-    mdn_path = os.path.join(out_dir, "mdns.json")
-    if os.path.exists(mdn_path):
-        with open(mdn_path, encoding="utf-8") as fh:
-            rep = json.load(fh)
-        path = os.path.join(out_dir, "mdns.tsv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("id\tsize\tshared_files\tmean_weight\tmembers\n")
-            for c in rep.get("components", []):
-                fh.write(f"{c['id']}\t{c['size']}\t{c['shared_files']}\t"
-                         f"{c['mean_weight']!r}\t{','.join(c['members'])}\n")
-        written.append(path)
+    for name, (header, rows) in _TSV_MIRRORS.items():
+        report = os.path.join(out_dir, name)
+        if os.path.exists(report):
+            with open(report, encoding="utf-8") as fh:
+                rep = json.load(fh)
+            path = report.removesuffix(".json") + ".tsv"
+            write_table(path, header, zip(*rows(rep)))
+            written.append(path)
     return written
+
+
+_EVAL_COLUMNS = ("AUC", "F1", "TP", "TN", "FP", "FN", "TPR", "TNR", "FPR", "FNR",
+                 "threshold")
+# report -> (mirror header, report -> mirror rows)
+_TSV_MIRRORS = {
+    "eval.json": (("model", *_EVAL_COLUMNS), lambda rep: [
+        (m, *(rep[m][c] for c in _EVAL_COLUMNS)) for m in ("base", "stacked")]),
+    # an error unit has no selection or flag, and a str column must hold only
+    # str: str() writes those cells as "None"
+    "fits.json": (("feature", "population", "n", "selection", "flag", "candidates"),
+                  lambda rep: [
+        (f, p, u.get("n", 0), str(u.get("selection")), str(u.get("flag")),
+         ",".join(u.get("candidates", [])))
+        for f, units in sorted(rep.get("features", {}).items())
+        for p, u in sorted(units.items())]),
+    "mdns.json": (("id", "size", "shared_files", "mean_weight", "members"),
+                  lambda rep: [
+        (c["id"], c["size"], c["shared_files"], c["mean_weight"], ",".join(c["members"]))
+        for c in rep.get("components", [])]),
+}

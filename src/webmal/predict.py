@@ -27,7 +27,7 @@ from .errors import (DimensionMismatch, InputError, InvalidParams, KeyMismatch,
 from .graph import PldGraph
 from .metrics import NodeMetrics
 from .reputation import PldReputation
-from .tables import read_header, read_table, where
+from .tables import read_header, read_table, where, write_json, write_table
 
 ALEXA_SENTINEL_RANK = 1_000_001
 ALEXA_TOP = 1_000_000
@@ -55,8 +55,6 @@ class FeatureMatrix:
     feature_names: tuple[str, ...]
     X: np.ndarray                  # float64, len(plds) x len(feature_names)
     labels: np.ndarray             # int8, 1 = malicious
-    norm_mean: np.ndarray | None = None
-    norm_std: np.ndarray | None = None
 
     def column(self, name: str) -> np.ndarray:
         return self.X[:, self.feature_names.index(name)]
@@ -67,8 +65,7 @@ class FeatureMatrix:
         return FeatureMatrix(plds=self.plds,
                              feature_names=self.feature_names + (name,),
                              X=np.column_stack([self.X, np.asarray(values, float)]),
-                             labels=self.labels,
-                             norm_mean=None, norm_std=None)
+                             labels=self.labels)
 
 
 def metric_column(metrics: NodeMetrics, feature: str) -> np.ndarray:
@@ -79,8 +76,7 @@ def metric_column(metrics: NodeMetrics, feature: str) -> np.ndarray:
 
 def assemble_features(metrics: NodeMetrics, reputation: list[PldReputation],
                       dga_scores: Mapping[str, float],
-                      alexa: Mapping[str, int], feature_set: str = "all",
-                      normalize: bool = False) -> FeatureMatrix:
+                      alexa: Mapping[str, int], feature_set: str = "all") -> FeatureMatrix:
     """Join the per-PLD tables into one named feature matrix.
 
     Rows follow the metrics table (the graph decides the universe); every
@@ -129,14 +125,7 @@ def assemble_features(metrics: NodeMetrics, reputation: list[PldReputation],
         raise NonFiniteInput("assembled features contain non-finite values")
     labels = np.array([1 if rrows[p].dichotomy == "malicious" else 0
                        for p in plds], dtype=np.int8)
-    fm = FeatureMatrix(plds=plds, feature_names=tuple(names), X=X, labels=labels)
-    if normalize:
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
-        std = np.where(std > 0, std, 1.0)
-        fm.X = (X - mean) / std
-        fm.norm_mean, fm.norm_std = mean, std
-    return fm
+    return FeatureMatrix(plds=plds, feature_names=tuple(names), X=X, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +286,7 @@ def feature_importance(model: Model) -> list[tuple[str, float]]:
 
 
 def write_model(model: Model, path: str) -> None:
-    payload = {
+    write_json({
         "feature_names": list(model.feature_names),
         "weights": [float(w) for w in model.weights],
         "bias": float(model.bias),
@@ -307,10 +296,7 @@ def write_model(model: Model, path: str) -> None:
         },
         "converged": model.converged,
         "epochs_run": model.epochs_run,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    }, path)
 
 
 def read_model(path: str) -> Model:
@@ -463,11 +449,8 @@ def run_stacked_experiment(fm: FeatureMatrix, g: PldGraph, seed: int, *,
 # feature table persistence
 
 def write_features(fm: FeatureMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("pld\t" + "\t".join(fm.feature_names) + "\tlabel\n")
-        for i, pld in enumerate(fm.plds):
-            vals = "\t".join(repr(float(v)) for v in fm.X[i])
-            fh.write(f"{pld}\t{vals}\t{int(fm.labels[i])}\n")
+    write_table(path, ("pld", *fm.feature_names, "label"),
+                (fm.plds, *fm.X.T, fm.labels))
 
 
 def read_features(path: str) -> FeatureMatrix:

@@ -34,19 +34,20 @@ class SuffixRules:
         return len(self.normal) + len(self.wildcard) + len(self.exception)
 
 
-def _check_labels(rule: str, line_no: int) -> None:
+def _check_labels(rule: str, where: str) -> None:
     for label in rule.split("."):
         if not label:
-            raise MalformedRule(f"line {line_no}: empty label in rule {rule!r}")
+            raise MalformedRule(f"{where}: empty label in rule {rule!r}")
         if any(c.isspace() for c in label):
-            raise MalformedRule(f"line {line_no}: whitespace in rule {rule!r}")
+            raise MalformedRule(f"{where}: whitespace in rule {rule!r}")
 
 
-def parse_psl(text: str, include_private: bool = True) -> SuffixRules:
-    """Parse public suffix rules from text.
+def parse_psl(text: str, include_private: bool = True,
+              path: str = "<string>") -> SuffixRules:
+    """Parse public suffix rules from text read from `path`.
 
     Set include_private=False to drop everything between the PRIVATE DOMAINS
-    section markers.
+    section markers. A malformed rule raises MalformedRule("path:lineno: ...").
     """
     normal, wildcard, exception = set(), set(), set()
     in_private = False
@@ -62,19 +63,20 @@ def parse_psl(text: str, include_private: bool = True) -> SuffixRules:
             continue
         if in_private and not include_private:
             continue
+        where = f"{path}:{line_no}"
         if any(c.isspace() for c in line):
-            raise MalformedRule(f"line {line_no}: whitespace in rule {line!r}")
+            raise MalformedRule(f"{where}: whitespace in rule {line!r}")
         rule = line.lower()
         if rule.startswith("!"):
             rule = rule[1:]
-            _check_labels(rule, line_no)
+            _check_labels(rule, where)
             exception.add(rule)
         elif rule.startswith("*."):
             rule = rule[2:]
-            _check_labels(rule, line_no)
+            _check_labels(rule, where)
             wildcard.add(rule)
         else:
-            _check_labels(rule, line_no)
+            _check_labels(rule, where)
             normal.add(rule)
     return SuffixRules(frozenset(normal), frozenset(wildcard), frozenset(exception))
 
@@ -85,7 +87,7 @@ def load_psl(path: str, include_private: bool = True) -> SuffixRules:
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         text = "\n".join(_checked(path, lineno, line)
                          for lineno, line in enumerate(fh, 1))
-    return parse_psl(text, include_private=include_private)
+    return parse_psl(text, include_private=include_private, path=path)
 
 
 def _host_of(url: str) -> str:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (EmptyProfile, EmptyVector, InputError, InvalidParams,
                      MissingVerdict)
-from .tables import read_table, where
+from .tables import read_table, where, write_table
 
 DEFAULT_ENGINES = 56
 
@@ -200,9 +201,9 @@ def read_verdicts(path: str) -> VerdictMatrix:
 
 
 def write_verdicts(verdicts: VerdictMatrix, path: str) -> None:
-    with open(path, "w") as fh:
-        for h in sorted(verdicts.masks):
-            fh.write(f"{h}\t{verdicts.d}\t{format(verdicts.masks[h], 'x')}\n")
+    hashes = sorted(verdicts.masks)
+    write_table(path, None, (hashes, [verdicts.d] * len(hashes),
+                             [format(verdicts.masks[h], "x") for h in hashes]))
 
 
 def read_observations(path: str) -> list[PldFileProfile]:
@@ -219,10 +220,9 @@ def read_observations(path: str) -> list[PldFileProfile]:
 
 
 def write_observations(profiles: Iterable[PldFileProfile], path: str) -> None:
-    with open(path, "w") as fh:
-        for prof in sorted(profiles, key=lambda p: p.pld):
-            for h in sorted(prof.files):
-                fh.write(f"{prof.pld}\t{h}\t{prof.files[h]}\n")
+    rows = [(prof.pld, h, prof.files[h])
+            for prof in sorted(profiles, key=lambda p: p.pld) for h in sorted(prof.files)]
+    write_table(path, None, [map(itemgetter(i), rows) for i in range(3)])
 
 
 REPUTATION_HEADER = ("pld", "dichotomy", "r_bar", "n_unique", "total", "entropy")
@@ -230,11 +230,11 @@ REPUTATION_HEADER = ("pld", "dichotomy", "r_bar", "n_unique", "total", "entropy"
 
 def write_reputation(rows: Iterable[PldReputation], path: str) -> None:
     """Write score rows: pld, dichotomy, r_bar, N, TF, H."""
-    with open(path, "w") as fh:
-        fh.write("\t".join(REPUTATION_HEADER) + "\n")
-        for r in rows:
-            fh.write(f"{r.pld}\t{r.dichotomy}\t{repr(float(r.r_bar))}\t"
-                     f"{r.n_unique}\t{r.total}\t{repr(float(r.entropy))}\n")
+    rows = list(rows)
+    write_table(path, REPUTATION_HEADER, (
+        [r.pld for r in rows], [r.dichotomy for r in rows],
+        [float(r.r_bar) for r in rows], [r.n_unique for r in rows],
+        [r.total for r in rows], [float(r.entropy) for r in rows]))
 
 
 def read_reputation(path: str) -> list[PldReputation]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -33,7 +34,7 @@ from .dga import DEFAULT_ALPHABET, default_wordlist
 from .errors import InfeasibleSpec, InvalidParams
 from .heavytail import make_distribution
 from .reputation import PldFileProfile, VerdictMatrix
-from .tables import read_table
+from .tables import read_table, write_json, write_table
 
 
 def _sample_trunc_power_law(params: dict[str, float], x_min: float, n: int,
@@ -518,17 +519,12 @@ def write_corpus(corpus: Corpus, out_dir: str) -> dict[str, str]:
         ("labels", "labels.tsv"), ("psl", "psl.dat"), ("truth", "truth.json"),
         ("spec", "spec.json")]}
 
-    with open(paths["edges"], "w") as fh:
-        for src, dst in corpus.edges:
-            fh.write(f"{src}\t{dst}\n")
+    write_table(paths["edges"], None, [map(itemgetter(i), corpus.edges) for i in (0, 1)])
     write_observations(corpus.profiles, paths["observations"])
     write_verdicts(corpus.verdicts, paths["verdicts"])
-    with open(paths["alexa"], "w") as fh:
-        for pld in sorted(corpus.alexa):
-            fh.write(f"{pld}\t{corpus.alexa[pld]}\n")
-    with open(paths["labels"], "w") as fh:
-        for pld in sorted(corpus.labels):
-            fh.write(f"{pld}\t{corpus.labels[pld]}\n")
+    for name, table in (("alexa", corpus.alexa), ("labels", corpus.labels)):
+        plds = sorted(table)
+        write_table(paths[name], None, (plds, [table[p] for p in plds]))
     with open(paths["psl"], "w") as fh:
         fh.write("// synthetic suffix rules\n")
         for s in corpus.spec.suffixes:
@@ -543,9 +539,7 @@ def write_corpus(corpus: Corpus, out_dir: str) -> dict[str, str]:
         "pages": corpus.spec.pages.to_dict(),
         "indegree": corpus.spec.indegree.to_dict(),
     }
-    with open(paths["truth"], "w") as fh:
-        json.dump(truth, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(truth, paths["truth"])
     with open(paths["spec"], "w") as fh:
         fh.write(corpus.spec.to_json())
     return paths

@@ -1,17 +1,27 @@
-"""One reader for every tab-separated table the pipeline reads.
+"""One reader and one writer for every tab-separated table the pipeline
+reads or writes, and the writer of every JSON report.
 
 The rules are the same for every table. A table the pipeline writes starts
-with its exact header line; an external input has no header. Empty lines
-are skipped but still counted in line numbers. A path ending in ".gz" is
-read through gzip. A malformed row, or a line that is not UTF-8 text,
-raises InputError("path:lineno: ...").
+with its exact header line; an external input has no header. A float cell
+is written as its repr, so it reads back to the same bits. Empty lines are
+skipped but still counted in line numbers. A path ending in ".gz" is read
+through gzip. A malformed row, or a line that is not UTF-8 text, raises
+InputError("path:lineno: ...").
+
+Every write goes to `path + ".tmp"`, renamed onto `path` once complete: a
+crash or an interrupt of the process leaves the old file or the new one,
+never a part of one. There is no fsync, so a power loss still can.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
+import itertools
+import json
+import os
 import warnings
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -55,6 +65,56 @@ def read_table(path: str, header: tuple[str, ...] | None,
         return _read_rows(path, header, types)
     return [data[name].tolist() if t is str else data[name].copy()
             for name, t in zip(dtype.names, types)]
+
+
+def write_table(path: str, header: tuple[str, ...] | None,
+                columns: Iterable[Iterable]) -> None:
+    """One row per position of the columns, which have one length, under
+    `header` (None for an external input format, which has no header)."""
+    with _replacing(path) as fh:
+        if header is not None:
+            fh.write("\t".join(header) + "\n")
+        rows = map("\t".join, zip(*map(_cells, columns), strict=True))
+        # one write per block of rows: a write per row costs more than its text
+        while block := list(itertools.islice(rows, 4096)):
+            fh.write("\n".join(block) + "\n")
+
+
+def write_json(payload, path: str) -> None:
+    """Compact JSON with sorted keys and a trailing newline: the byte format
+    of every JSON report."""
+    with _replacing(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A text file that becomes `path` only if the block completes; on any
+    exception, KeyboardInterrupt included, the temp file is removed."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+_NO_VALUE = object()
+
+
+def _cells(column: Iterable) -> Iterator[str]:
+    """A column's text: an array's Python scalars, each through str, which
+    for a float is its repr. The formatter is chosen once, by the first
+    value: a column of str is left as it is, and must hold only str."""
+    values = iter(column.tolist() if isinstance(column, np.ndarray) else column)
+    first = next(values, _NO_VALUE)
+    if first is _NO_VALUE:
+        return values
+    values = itertools.chain((first,), values)
+    return values if type(first) is str else map(str, values)
 
 
 def where(path: str, header: tuple[str, ...] | None, row: int) -> str:

@@ -305,6 +305,20 @@ def test_non_utf8_psl_line_is_input_error(tmp_path, corpus, capsys):
     assert f"input error: {bad}:2: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rule,problem", [("*.bad rule", "whitespace"),
+                                          ("bad..rule", "empty label")])
+def test_malformed_psl_rule_names_its_file_and_line(tmp_path, corpus, capsys,
+                                                    rule, problem):
+    bad = tmp_path / "psl.dat"
+    bad.write_text(f"com\n{rule}\n")
+    rc = main(["build-graph", "--edges", os.path.join(corpus, "edges.tsv"),
+               "--psl", str(bad), "--out-nodes", str(tmp_path / "n.tsv"),
+               "--out-edges", str(tmp_path / "e.tsv")])
+    assert rc == 1
+    assert (f"input error: {bad}:2: {problem} in rule {rule!r}"
+            in capsys.readouterr().err)
+
+
 # flag, its text, the RunConfig field it sets, and the value it must reach
 RUN_FLAGS = [
     ("--edges", "e2.tsv", "edges", "e2.tsv"),

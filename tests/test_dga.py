@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from webmal.dga import (DEFAULT_ALPHABET, FreqTable, classify_dga,
                         default_wordlist, load_default_table, name_badness,
-                        read_table, registrable_label, score_pld_name,
-                        train_freq_table, write_table)
+                        read_freq_table, registrable_label, score_pld_name,
+                        train_freq_table, write_freq_table)
 from webmal.errors import EmptyCorpus, InputError, UntrainedTable
 from webmal.oracles import oracle_name_badness
 from webmal.synthlab import default_spec, plant_crawl
@@ -188,8 +188,8 @@ def test_permutation_sensitivity():
 def test_table_roundtrip(tmp_path):
     t = train_freq_table(["hello world", "banana"], smoothing=2.5)
     path = str(tmp_path / "table.json")
-    write_table(t, path)
-    back = read_table(path)
+    write_freq_table(t, path)
+    back = read_freq_table(path)
     assert back.alphabet == t.alphabet
     assert back.smoothing == t.smoothing
     assert np.array_equal(back.counts, t.counts)
@@ -198,7 +198,7 @@ def test_table_roundtrip(tmp_path):
 def test_table_json_shape(tmp_path):
     t = train_freq_table(["abc"])
     path = str(tmp_path / "table.json")
-    write_table(t, path)
+    write_freq_table(t, path)
     payload = json.load(open(path))
     assert set(payload) == {"alphabet", "counts", "smoothing"}
     assert len(payload["counts"]) == 36 * 36
@@ -209,7 +209,7 @@ def test_table_bad_counts_length_rejected(tmp_path):
     path.write_text(json.dumps({"alphabet": "ab", "counts": [1, 2, 3],
                                 "smoothing": 0.001}))
     with pytest.raises(InputError):
-        read_table(str(path))
+        read_freq_table(str(path))
 
 
 # ---------------------------------------------------------------------------

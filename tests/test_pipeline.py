@@ -92,6 +92,7 @@ def test_interrupt_keeps_finished_stages(tmp_path, corpus_dir, monkeypatch):
                   + (replace(stages[3], run=interrupt),) + stages[4:])
         with pytest.raises(KeyboardInterrupt):
             run_pipeline(cfg)
+    assert not [n for n in os.listdir(cfg.out_dir) if n.endswith(".tmp")]
     res = run_pipeline(cfg)
     assert res.skipped == list(STAGE_NAMES[:3])
     assert res.executed == list(STAGE_NAMES[3:])
@@ -99,6 +100,35 @@ def test_interrupt_keeps_finished_stages(tmp_path, corpus_dir, monkeypatch):
     run_pipeline(ref)
     assert (file_sha256(os.path.join(cfg.out_dir, "manifest.json"))
             == file_sha256(os.path.join(ref.out_dir, "manifest.json")))
+
+
+def test_interrupted_write_keeps_finished_stages(tmp_path, corpus_dir, monkeypatch):
+    from dataclasses import replace
+
+    from webmal import pipeline
+    from webmal.dga import DGA_HEADER
+    from webmal.tables import write_table
+
+    def scores():
+        yield from [1.0] * 10_000     # more than one block reaches the temp file
+        raise KeyboardInterrupt
+
+    def interrupt(cfg, paths):
+        write_table(paths["dga.tsv"], DGA_HEADER,
+                    (["a.com"] * 20_000, scores(), ["likely_dga"] * 20_000))
+
+    cfg = make_config(corpus_dir, str(tmp_path / "run"))
+    stages = pipeline.STAGES
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "STAGES", stages[:3]
+                  + (replace(stages[3], run=interrupt),) + stages[4:])
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(cfg)
+    assert not [n for n in os.listdir(cfg.out_dir) if n.endswith(".tmp")]
+    assert not os.path.exists(os.path.join(cfg.out_dir, "dga.tsv"))
+    res = run_pipeline(cfg)
+    assert res.skipped == list(STAGE_NAMES[:3])
+    assert res.executed == list(STAGE_NAMES[3:])
 
 
 def test_damaged_output_reruns_its_stage(tmp_path, corpus_dir):
@@ -202,6 +232,10 @@ def test_each_stage_reads_only_what_it_declares(tmp_path, corpus_dir):
             stage.name
         assert rec_paths.read <= {os.path.basename(p) for p in declared}, stage.name
         roots = (os.path.realpath(str(tmp_path)), os.path.realpath(corpus_dir))
+        # an output is written to "<output>.tmp" and renamed onto the output
+        outputs = {os.path.realpath(paths[name]) for name in stage.outputs}
+        opened = [p.removesuffix(".tmp") if p.removesuffix(".tmp") in outputs else p
+                  for p in opened]
         assert {p for p in opened if p.startswith(roots)} <= {
             os.path.realpath(p) for p in declared}, stage.name
 

@@ -88,13 +88,6 @@ def test_unknown_set_and_key_mismatch():
     assemble_features(metrics, reps, {}, alexa, "graph")
 
 
-def test_normalized_assembly_records_stats():
-    _, metrics, reps, dga, alexa = fake_sources()
-    fm = assemble_features(metrics, reps, dga, alexa, "graph", normalize=True)
-    assert np.allclose(fm.X.mean(axis=0), 0.0, atol=1e-12)
-    assert fm.norm_mean is not None and fm.norm_std is not None
-
-
 # ---------------------------------------------------------------------------
 # split and balance
 

@@ -1,7 +1,10 @@
-"""The shared table reader: one set of rules and messages for every table."""
+"""The shared table reader and writer: one set of rules and messages for
+every table."""
 
 import argparse
 import gzip
+import json
+import os
 import warnings
 
 import numpy as np
@@ -17,7 +20,7 @@ from webmal.predict import read_alexa, read_features
 from webmal.reputation import (REPUTATION_HEADER, read_observations,
                                read_reputation, read_verdicts)
 from webmal.synthlab import read_labels
-from webmal.tables import _read_rows, read_table
+from webmal.tables import _read_rows, read_table, write_json, write_table
 
 _NODES = "pld\tnode_id\tpage_count\na.com\t0\t2\nb.com\t1\t1\n"
 _EDGES = "src_id\tdst_id\tweight\n0\t1\t3\n"
@@ -154,3 +157,56 @@ def test_both_parses_agree(tmp_path):
     # a cell Python reads but np.loadtxt does not falls back to Python's parse
     path.write_text("p\t1_000\t2.5\n")
     assert read_table(str(path), None, types)[1].tolist() == [1000]
+
+
+def test_written_table_reads_back_to_the_same_bits(tmp_path):
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)
+    ids = np.arange(5000, dtype=np.int64) - 2500
+    names = [f"p{i}" for i in range(5000)]
+    path = str(tmp_path / "t.tsv")
+    write_table(path, ("pld", "id", "x"), (names, ids, x))
+    got = read_table(path, ("pld", "id", "x"), (str, int, float))
+    assert got[0] == names and np.array_equal(got[1], ids)
+    assert got[2].tobytes() == x.tobytes()
+    # no header for an external input format; a list of floats is written
+    # like an array of them
+    write_table(path, None, (["a", "b"], [0.1, 1e-300]))
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "a\t0.1\nb\t1e-300\n"
+    assert os.listdir(tmp_path) == ["t.tsv"]
+
+
+def test_written_table_of_no_rows_is_its_header(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_table(str(path), ("a", "b"), ([], np.zeros(0)))
+    assert path.read_text() == "a\tb\n"
+
+
+def _interrupted_column():
+    yield from range(10_000)       # more than one block reaches the temp file
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("write,error", [
+    (lambda path: write_table(path, ("a", "b"),
+                              (["x"] * 20_000, _interrupted_column())),
+     KeyboardInterrupt),
+    (lambda path: write_table(path, ("a", "b"), (["x"] * 3, [1, 2])), ValueError),
+    (lambda path: write_json({"a": list(range(10_000)), "b": object()}, path),
+     TypeError),
+], ids=["table-interrupted", "table-ragged", "json-unserializable"])
+def test_failed_write_keeps_the_old_file(tmp_path, write, error):
+    path = tmp_path / "out"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(error):
+        write(str(path))
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_write_json_format(tmp_path):
+    path = tmp_path / "r.json"
+    write_json({"b": [1.5, None], "a": {"y": 1, "x": "s"}}, str(path))
+    assert path.read_text() == '{"a":{"x":"s","y":1},"b":[1.5,null]}\n'
+    assert json.loads(path.read_text()) == {"a": {"x": "s", "y": 1}, "b": [1.5, None]}
