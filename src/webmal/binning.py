@@ -73,31 +73,3 @@ def fibonacci_bins(data) -> BinnedHistogram:
     while bins and bins[-1].count == 0:
         bins.pop()
     return BinnedHistogram(bins=bins, scheme="fibonacci", n=len(x))
-
-
-def log_bins(data, base: float = 2.0) -> BinnedHistogram:
-    """Geometric bins [m*base^k, m*base^(k+1)); the last bin closes on max."""
-    if not base > 1.0:
-        raise InvalidParams("base must exceed 1")
-    x = np.asarray(data, dtype=float)
-    if x.size == 0:
-        raise EmptyData("cannot bin an empty sample")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0):
-        raise InvalidParams("data must be positive and finite")
-    lo = float(x.min())
-    top = float(x.max())
-    bins: list[Bin] = []
-    while True:
-        hi = lo * base
-        last = hi >= top
-        if last:
-            count = int(np.sum((x >= lo) & (x <= hi)))
-        else:
-            count = int(np.sum((x >= lo) & (x < hi)))
-        bins.append(Bin(lo=lo, hi=hi, count=count, density=count / (hi - lo)))
-        if last:
-            break
-        lo = hi
-    while bins and bins[-1].count == 0:
-        bins.pop()
-    return BinnedHistogram(bins=bins, scheme="log", n=len(x))

@@ -148,9 +148,8 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_synth(args) -> None:
-    from .synthlab import SyntheticSpec, plant_crawl, write_corpus
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = SyntheticSpec.from_json(fh.read())
+    from .synthlab import plant_crawl, read_spec, write_corpus
+    spec = read_spec(args.spec)
     corpus = plant_crawl(spec)
     paths = write_corpus(corpus, args.out)
     print(f"{spec.n_plds} PLDs, {len(corpus.edges)} page edges -> {args.out}")

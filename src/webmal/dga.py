@@ -8,7 +8,6 @@ algorithmically generated ones below it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -18,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyCorpus, InputError, UntrainedTable
-from .tables import read_table, write_json, write_table
+from .tables import read_json, read_table, write_json, write_table
 
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 DEFAULT_SMOOTHING = 1e-3
@@ -63,10 +62,6 @@ class FreqTable:
     @property
     def trained(self) -> bool:
         return self._trained
-
-    def pair_probability(self, c1: str, c2: str) -> float:
-        """P(c2 | c1) with additive smoothing over the alphabet."""
-        return self._rows[self._index[c1]][self._index[c2]]
 
     def pair_indices(self, text: str) -> list[tuple[int, int]]:
         """Adjacent in-alphabet index pairs; other characters break adjacency."""
@@ -148,25 +143,23 @@ def write_freq_table(table: FreqTable, path: str) -> None:
     }, path)
 
 
-def _table_from_payload(payload: dict, where: str) -> FreqTable:
+def read_freq_table(path: str) -> FreqTable:
+    """A table as write_freq_table writes it; a missing key or a value of the
+    wrong type is an InputError naming the file."""
+    payload = read_json(path)
     try:
         alphabet = payload["alphabet"]
         counts = payload["counts"]
-        smoothing = payload["smoothing"]
+        m = len(alphabet)
+        if len(counts) != m * m:
+            raise InputError(f"{path}: counts length {len(counts)} != {m * m}")
+        return FreqTable(alphabet=alphabet,
+                         counts=np.asarray(counts, dtype=np.int64).reshape(m, m),
+                         smoothing=float(payload["smoothing"]))
     except KeyError as exc:
-        raise InputError(f"{where}: missing key {exc}") from None
-    m = len(alphabet)
-    if len(counts) != m * m:
-        raise InputError(f"{where}: counts length {len(counts)} != {m * m}")
-    return FreqTable(alphabet=alphabet,
-                     counts=np.asarray(counts, dtype=np.int64).reshape(m, m),
-                     smoothing=float(smoothing))
-
-
-def read_freq_table(path: str) -> FreqTable:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return _table_from_payload(payload, path)
+        raise InputError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 DGA_HEADER = ("pld", "score", "verdict")
@@ -188,8 +181,9 @@ def read_dga_scores(path: str) -> dict[str, float]:
 @lru_cache(maxsize=1)
 def load_default_table() -> FreqTable:
     """The pre-trained English table shipped with the package."""
-    text = resources.files("webmal").joinpath("data/english_bigrams.json").read_text()
-    return _table_from_payload(json.loads(text), "english_bigrams.json")
+    ref = resources.files("webmal").joinpath("data/english_bigrams.json")
+    with resources.as_file(ref) as path:
+        return read_freq_table(str(path))
 
 
 @lru_cache(maxsize=1)

@@ -44,32 +44,12 @@ class PldGraph:
     def n_edges(self) -> int:
         return len(self.edge_src)
 
-    def node_id(self, pld: str) -> int:
-        i = int(np.searchsorted(self.plds_array, pld))
-        if i >= self.n_nodes or self.plds[i] != pld:
-            raise KeyError(pld)
-        return i
-
-    @property
-    def plds_array(self) -> np.ndarray:
-        if not hasattr(self, "_plds_array"):
-            self._plds_array = np.array(self.plds, dtype=object)
-        return self._plds_array
-
-    def adjacency(self, weighted: bool = False, drop_self_loops: bool = False) -> sp.csr_matrix:
-        """CSR adjacency; A[i, j] nonzero for edge i -> j."""
-        src, dst, w = self.edge_src, self.edge_dst, self.edge_weight
-        if drop_self_loops:
-            keep = src != dst
-            src, dst, w = src[keep], dst[keep], w[keep]
-        data = w.astype(np.float64) if weighted else np.ones(len(src))
-        return sp.csr_matrix((data, (src, dst)), shape=(self.n_nodes, self.n_nodes))
-
-    def edge_dict(self) -> dict[tuple[int, int], int]:
-        return {
-            (int(s), int(d)): int(w)
-            for s, d, w in zip(self.edge_src, self.edge_dst, self.edge_weight)
-        }
+    def adjacency(self) -> sp.csr_matrix:
+        """CSR 0/1 adjacency without self-loops; A[i, j] = 1 for edge i -> j."""
+        keep = self.edge_src != self.edge_dst
+        return sp.csr_matrix((np.ones(int(keep.sum())),
+                              (self.edge_src[keep], self.edge_dst[keep])),
+                             shape=(self.n_nodes, self.n_nodes))
 
 
 class GraphBuilder:

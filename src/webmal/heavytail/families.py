@@ -101,7 +101,7 @@ def log_upper_gamma(s: float, x: float) -> float:
 
 @dataclass
 class TailDistribution:
-    """Common interface: pdf/cdf/sf/ppf on the tail [x_min, inf)."""
+    """Common interface: logpdf/cdf/ppf on the tail [x_min, inf)."""
 
     params: dict[str, float]
     x_min: float
@@ -121,14 +121,8 @@ class TailDistribution:
     def logpdf(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def pdf(self, x) -> np.ndarray:
-        return np.exp(self.logpdf(x))
-
     def cdf(self, x) -> np.ndarray:
         raise NotImplementedError
-
-    def sf(self, x) -> np.ndarray:
-        return 1.0 - self.cdf(x)
 
     def ppf(self, q) -> np.ndarray:
         """Numerical inverse by bracketed root finding; overridden when closed-form."""

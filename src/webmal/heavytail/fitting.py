@@ -5,7 +5,7 @@ tail empirical CDF and the fitted model over candidate x_min values, ties
 going to the smaller candidate. Families are compared on identical tails via
 the normalized log-likelihood ratio with the variance estimated from the
 per-point differences, and a family is eliminated only when a competitor
-beats it decisively (R < 0 with p below the significance level).
+beats it decisively (R < 0 with p below SIGNIFICANCE).
 
 Each family's numeric fit is one record in `_TAIL_FITS` (a `_TailFit`):
 its start points, its warm-start encoding, its closed form where one exists
@@ -81,10 +81,6 @@ class CandidateSet:
     selection: str | None
     selection_flag: str | None       # "unique" | "judged" | None
     comparisons: list[ComparisonResult] = field(default_factory=list)
-
-    @property
-    def all_eliminated(self) -> bool:
-        return not self.candidates
 
     def selected_fit(self) -> FitResult | None:
         return self.fits[self.selection] if self.selection else None
@@ -696,12 +692,12 @@ def estimate_xmin(data, family: str, *, min_points: int = 50, min_tail: int = 10
     return FitResult(family, params, x_min, ks_distance(tail, dist), loglik, len(tail))
 
 
-def compare(data, fit_f: FitResult, family_g: str, *, restarts: int = DEFAULT_RESTARTS,
-            significance: float = SIGNIFICANCE) -> ComparisonResult:
+def compare(data, fit_f: FitResult, family_g: str, *,
+            restarts: int = DEFAULT_RESTARTS) -> ComparisonResult:
     """Log-likelihood ratio test of fit_f against family_g on the same tail.
 
     g is refit on data >= fit_f.x_min with the identical x_min. R > 0 favors
-    f, R < 0 favors g; the verdict is indeterminate when p >= significance.
+    f, R < 0 favors g; the verdict is indeterminate when p >= SIGNIFICANCE.
     """
     x = np.asarray(data, dtype=float)
     tail = np.sort(x[x >= fit_f.x_min])
@@ -720,7 +716,7 @@ def compare(data, fit_f: FitResult, family_g: str, *, restarts: int = DEFAULT_RE
         p = 1.0
     else:
         p = float(erfc(abs(r) / math.sqrt(2.0 * n * sigma_sq)))
-    if p >= significance:
+    if p >= SIGNIFICANCE:
         favored = "indeterminate"
     else:
         favored = "f" if r > 0 else "g"
@@ -734,8 +730,8 @@ _N_PARAMS = {tag: len(cls.param_names) for tag, cls in FAMILIES.items()}
 
 def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
                       min_points: int = 50, min_tail: int = 10,
-                      max_candidates: int = 200, restarts: int = DEFAULT_RESTARTS,
-                      significance: float = SIGNIFICANCE) -> CandidateSet:
+                      max_candidates: int = 200,
+                      restarts: int = DEFAULT_RESTARTS) -> CandidateSet:
     """Fit every family, eliminate pairwise, and pick a surviving family.
 
     A family survives unless some comparison beats it decisively, whether it
@@ -765,8 +761,7 @@ def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
             if other == tag:
                 continue
             try:
-                cmp_res = compare(data, fit_f, other, restarts=restarts,
-                                  significance=significance)
+                cmp_res = compare(data, fit_f, other, restarts=restarts)
             except (OptimizerFailure, TooFewPoints):
                 continue
             comparisons.append(cmp_res)

@@ -100,7 +100,7 @@ def hits(g: PldGraph, tol: float = 1e-10, max_iter: int = 1000) -> HitsResult:
     in the max norm.
     """
     n = g.n_nodes
-    A = g.adjacency(drop_self_loops=True)
+    A = g.adjacency()
     if A.nnz == 0:
         return HitsResult(np.zeros(n), np.zeros(n), 0, True)
     At = A.T.tocsr()

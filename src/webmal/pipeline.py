@@ -29,7 +29,7 @@ import numpy as np
 from .binning import fibonacci_bins
 from .dga import (FreqTable, load_default_table, read_dga_scores,
                   score_pld_name, write_dga_scores)
-from .errors import ConfigError, WebmalError
+from .errors import ConfigError, InputError, WebmalError
 from .graph import (NODE_HEADER, PldGraph, build_from_file, read_graph,
                     write_graph)
 from .heavytail import select_candidates
@@ -44,7 +44,7 @@ from .psl import load_psl
 from .reputation import (PldReputation, malicious_file_sets, read_observations,
                          read_reputation, read_verdicts, score_plds,
                          write_reputation)
-from .tables import read_table, write_json, write_table
+from .tables import read_json, read_table, write_json, write_table
 
 WORKERS_ENV = "WEBMAL_WORKERS"
 
@@ -138,12 +138,9 @@ class RunConfig:
     @classmethod
     def from_json(cls, path: str, overrides: dict | None = None) -> "RunConfig":
         try:
-            with open(path, encoding="utf-8") as fh:
-                d = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(d, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
+            d = read_json(path)
+        except (OSError, InputError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
         d.update({k: v for k, v in (overrides or {}).items() if v is not None})
         return cls.from_dict(d)
 
@@ -426,11 +423,10 @@ def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> Ru
     manifest: dict = {"stages": {}, "config_hash": cfg.config_hash()}
     if os.path.exists(manifest_path):
         try:
-            with open(manifest_path, encoding="utf-8") as fh:
-                prev = json.load(fh)
-            if isinstance(prev, dict) and isinstance(prev.get("stages"), dict):
+            prev = read_json(manifest_path)
+            if isinstance(prev.get("stages"), dict):
                 manifest["stages"] = prev["stages"]
-        except (OSError, json.JSONDecodeError):
+        except (OSError, InputError):
             pass  # unreadable manifest: rebuild everything
 
     # one stage's outputs are the next one's inputs: hash each file once,
@@ -500,8 +496,7 @@ def emit_tsv_reports(out_dir: str) -> list[str]:
     for name, (header, rows) in _TSV_MIRRORS.items():
         report = os.path.join(out_dir, name)
         if os.path.exists(report):
-            with open(report, encoding="utf-8") as fh:
-                rep = json.load(fh)
+            rep = read_json(report)
             path = report.removesuffix(".json") + ".tsv"
             write_table(path, header, zip(*rows(rep)))
             written.append(path)

@@ -12,7 +12,6 @@ no test label or test score ever feeds back into a feature.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -27,7 +26,8 @@ from .errors import (DimensionMismatch, InputError, InvalidParams, KeyMismatch,
 from .graph import PldGraph
 from .metrics import NodeMetrics
 from .reputation import PldReputation
-from .tables import read_header, read_table, where, write_json, write_table
+from .tables import (read_header, read_json, read_table, where, write_json,
+                     write_table)
 
 ALEXA_SENTINEL_RANK = 1_000_001
 ALEXA_TOP = 1_000_000
@@ -55,9 +55,6 @@ class FeatureMatrix:
     feature_names: tuple[str, ...]
     X: np.ndarray                  # float64, len(plds) x len(feature_names)
     labels: np.ndarray             # int8, 1 = malicious
-
-    def column(self, name: str) -> np.ndarray:
-        return self.X[:, self.feature_names.index(name)]
 
     def with_column(self, name: str, values: np.ndarray) -> "FeatureMatrix":
         if len(values) != len(self.plds):
@@ -139,18 +136,18 @@ class SplitPlan:
     seed: int
 
 
-def stratified_split(labels: Sequence[int], seed: int,
-                     test_fraction: float = 0.3,
-                     val_fraction: float = 0.3) -> SplitPlan:
+TEST_FRACTION = 0.3
+VAL_FRACTION = 0.3
+
+
+def stratified_split(labels: Sequence[int], seed: int) -> SplitPlan:
     """Disjoint train/test/validation ids, class-stratified.
 
-    The test partition takes test_fraction of each class; the validation
-    partition then takes val_fraction of the remaining training rows, again
+    The test partition takes TEST_FRACTION of each class; the validation
+    partition then takes VAL_FRACTION of the remaining training rows, again
     per class, so proportions hold within one row per stratum.
     """
     y = np.asarray(labels)
-    if not (0.0 < test_fraction < 1.0) or not (0.0 <= val_fraction < 1.0):
-        raise InvalidParams("fractions must be in (0,1)")
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos < 10 or n_neg < 10:
@@ -163,10 +160,10 @@ def stratified_split(labels: Sequence[int], seed: int,
     for cls in (1, 0):
         idx = np.flatnonzero(y == cls)
         idx = idx[rng.permutation(len(idx))]
-        n_test = int(round(test_fraction * len(idx)))
+        n_test = int(round(TEST_FRACTION * len(idx)))
         test_ids.append(idx[:n_test])
         rest = idx[n_test:]
-        n_val = int(round(val_fraction * len(rest)))
+        n_val = int(round(VAL_FRACTION * len(rest)))
         val_ids.append(rest[:n_val])
         train_ids.append(rest[n_val:])
     return SplitPlan(train=np.sort(np.concatenate(train_ids)),
@@ -201,8 +198,8 @@ class Model:
     feature_names: tuple[str, ...]
     weights: np.ndarray
     bias: float
-    norm_mean: np.ndarray | None = None
-    norm_std: np.ndarray | None = None
+    norm_mean: np.ndarray          # the training columns' mean and std:
+    norm_std: np.ndarray           # a row is scored as (x - mean) / std
     converged: bool = True
     epochs_run: int = 0
 
@@ -214,15 +211,18 @@ def _gradient(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
     return X.T @ resid + l2 * w, float(np.sum(resid))
 
 
-def train_logreg(X: np.ndarray, y: np.ndarray, *, l2: float = 0.01,
-                 lr: float | None = None, epochs: int = 20000,
-                 tol: float = 1e-6, normalize: bool = True,
-                 feature_names: Iterable[str] | None = None) -> Model:
-    """Batch gradient descent on L2-regularized logistic loss.
+GRAD_TOL = 1e-6
 
-    Runs until the full gradient norm drops below tol or the epoch cap is
-    hit; the bias is unregularized. Deterministic: zero init, fixed step
-    (default 1/L with L bounded through the Frobenius norm).
+
+def train_logreg(X: np.ndarray, y: np.ndarray, *, l2: float = 0.01,
+                 epochs: int = 20000,
+                 feature_names: Iterable[str] | None = None) -> Model:
+    """Batch gradient descent on L2-regularized logistic loss, over columns
+    standardized to zero mean and unit std (a constant column keeps std 1).
+
+    Runs until the full gradient norm drops below GRAD_TOL or the epoch cap
+    is hit; the bias is unregularized. Deterministic: zero init, fixed step
+    1/L with L bounded through the Frobenius norm.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -239,17 +239,14 @@ def train_logreg(X: np.ndarray, y: np.ndarray, *, l2: float = 0.01,
     if len(names) != X.shape[1]:
         raise DimensionMismatch("feature_names length does not match X")
 
-    mean = std = None
-    if normalize:
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
-        std = np.where(std > 0, std, 1.0)
-        X = (X - mean) / std
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    X = (X - mean) / std
 
     n, k = X.shape
-    if lr is None:
-        lip = float(np.sum(X * X)) / (4.0 * max(n, 1)) + l2 + 1.0 / (4.0 * max(n, 1))
-        lr = 1.0 / max(lip, 1e-12)
+    lip = float(np.sum(X * X)) / (4.0 * max(n, 1)) + l2 + 1.0 / (4.0 * max(n, 1))
+    lr = 1.0 / max(lip, 1e-12)
     w = np.zeros(k)
     b = 0.0
     converged = False
@@ -257,7 +254,7 @@ def train_logreg(X: np.ndarray, y: np.ndarray, *, l2: float = 0.01,
     for epoch in range(1, epochs + 1):
         gw, gb = _gradient(X, y, w, b, l2)
         gnorm = math.sqrt(float(np.dot(gw, gw)) + gb * gb)
-        if gnorm < tol:
+        if gnorm < GRAD_TOL:
             converged = True
             break
         w -= lr * gw
@@ -272,14 +269,13 @@ def predict_proba(model: Model, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != len(model.weights):
         raise DimensionMismatch(
             f"expected {len(model.weights)} columns, got {X.shape}")
-    if model.norm_mean is not None:
-        X = (X - model.norm_mean) / model.norm_std
+    X = (X - model.norm_mean) / model.norm_std
     return expit(X @ model.weights + model.bias)
 
 
 def feature_importance(model: Model) -> list[tuple[str, float]]:
-    """|weight| ranking; with normalization on, weights are already in
-    standardized units, making magnitudes comparable across features."""
+    """|weight| ranking; weights are in standardized units, which makes
+    magnitudes comparable across features."""
     pairs = [(name, abs(float(w)))
              for name, w in zip(model.feature_names, model.weights)]
     return sorted(pairs, key=lambda t: (-t[1], t[0]))
@@ -290,7 +286,7 @@ def write_model(model: Model, path: str) -> None:
         "feature_names": list(model.feature_names),
         "weights": [float(w) for w in model.weights],
         "bias": float(model.bias),
-        "normalization": None if model.norm_mean is None else {
+        "normalization": {
             "mean": [float(v) for v in model.norm_mean],
             "std": [float(v) for v in model.norm_std],
         },
@@ -300,21 +296,22 @@ def write_model(model: Model, path: str) -> None:
 
 
 def read_model(path: str) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = read_json(path)
     try:
         norm = d["normalization"]
         model = Model(feature_names=tuple(d["feature_names"]),
                       weights=np.array(d["weights"], dtype=float),
                       bias=float(d["bias"]),
-                      norm_mean=None if norm is None else np.array(norm["mean"]),
-                      norm_std=None if norm is None else np.array(norm["std"]),
+                      norm_mean=np.array(norm["mean"], dtype=float),
+                      norm_std=np.array(norm["std"], dtype=float),
                       converged=bool(d.get("converged", True)),
                       epochs_run=int(d.get("epochs_run", 0)))
+        k = len(model.feature_names)
+        if any(len(a) != k for a in (model.weights, model.norm_mean, model.norm_std)):
+            raise InputError(f"model file {path}: weights, normalization and "
+                             "names differ in length")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model file {path}: {exc}") from exc
-    if len(model.weights) != len(model.feature_names):
-        raise InputError(f"model file {path}: weight/name length mismatch")
     return model
 
 
@@ -336,7 +333,7 @@ def stacked_feature(g: PldGraph, base_prob: Mapping[str, float]) -> dict[str, fl
         if pld in base_prob:
             prob[i] = base_prob[pld]
             scored[i] = 1.0
-    A = g.adjacency(drop_self_loops=True)
+    A = g.adjacency()
     A = A.maximum(A.T)   # symmetric 0/1
     total = A @ prob
     count = A @ scored

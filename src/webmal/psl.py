@@ -13,9 +13,6 @@ from dataclasses import dataclass, field
 from .errors import MalformedRule, NoHost, SuffixOnly, UnknownSuffix
 from .tables import _checked
 
-_PRIVATE_BEGIN = "===BEGIN PRIVATE DOMAINS==="
-_PRIVATE_END = "===END PRIVATE DOMAINS==="
-
 
 @dataclass(frozen=True)
 class SuffixRules:
@@ -42,26 +39,15 @@ def _check_labels(rule: str, where: str) -> None:
             raise MalformedRule(f"{where}: whitespace in rule {rule!r}")
 
 
-def parse_psl(text: str, include_private: bool = True,
-              path: str = "<string>") -> SuffixRules:
-    """Parse public suffix rules from text read from `path`.
-
-    Set include_private=False to drop everything between the PRIVATE DOMAINS
-    section markers. A malformed rule raises MalformedRule("path:lineno: ...").
+def parse_psl(text: str, path: str = "<string>") -> SuffixRules:
+    """Parse public suffix rules from text read from `path`; the rules of
+    the list's private section count like any other. A malformed rule
+    raises MalformedRule("path:lineno: ...").
     """
     normal, wildcard, exception = set(), set(), set()
-    in_private = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("//"):
-            if _PRIVATE_BEGIN in line:
-                in_private = True
-            elif _PRIVATE_END in line:
-                in_private = False
-            continue
-        if in_private and not include_private:
+        if not line or line.startswith("//"):
             continue
         where = f"{path}:{line_no}"
         if any(c.isspace() for c in line):
@@ -81,13 +67,13 @@ def parse_psl(text: str, include_private: bool = True,
     return SuffixRules(frozenset(normal), frozenset(wildcard), frozenset(exception))
 
 
-def load_psl(path: str, include_private: bool = True) -> SuffixRules:
+def load_psl(path: str) -> SuffixRules:
     """Parse a rules file; a line that is not UTF-8 text is an InputError
     naming its line."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         text = "\n".join(_checked(path, lineno, line)
                          for lineno, line in enumerate(fh, 1))
-    return parse_psl(text, include_private=include_private, path=path)
+    return parse_psl(text, path=path)
 
 
 def _host_of(url: str) -> str:

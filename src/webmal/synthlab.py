@@ -31,18 +31,16 @@ from typing import Mapping
 import numpy as np
 
 from .dga import DEFAULT_ALPHABET, default_wordlist
-from .errors import InfeasibleSpec, InvalidParams
+from .errors import InfeasibleSpec, InputError, InvalidParams
 from .heavytail import make_distribution
 from .reputation import PldFileProfile, VerdictMatrix
-from .tables import read_table, write_json, write_table
+from .tables import read_json, write_json, write_table
 
 
 def _sample_trunc_power_law(params: dict[str, float], x_min: float, n: int,
                             rng: np.random.Generator) -> np.ndarray:
     alpha = float(params["alpha"])
     lam = float(params["lambda"])
-    if lam <= 0:
-        raise InvalidParams("trunc_power_law needs lambda > 0")
     out = np.empty(0)
     # batch rejection; envelope acceptance is evaluated vectorized
     while len(out) < n:
@@ -198,8 +196,7 @@ class SyntheticSpec:
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "SyntheticSpec":
-        d = json.loads(text)
+    def from_dict(cls, d: dict) -> "SyntheticSpec":
         spec = cls(
             seed=int(d["seed"]), n_plds=int(d["n_plds"]),
             malicious_fraction=float(d["malicious_fraction"]),
@@ -220,6 +217,19 @@ class SyntheticSpec:
         )
         spec.validate()
         return spec
+
+
+def read_spec(path: str) -> SyntheticSpec:
+    """The spec in a JSON file such as the spec.json of write_corpus; a
+    missing key or a value of the wrong type is an InputError naming the
+    file."""
+    d = read_json(path)
+    try:
+        return SyntheticSpec.from_dict(d)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def default_spec(seed: int, n_plds: int = 2000, **overrides) -> SyntheticSpec:
@@ -262,7 +272,11 @@ class Corpus:
     components: list[list[str]]           # planted MDNs incl. singletons
     planted_pages: dict[str, int]
     planted_indegree: dict[str, int]
-    psl_text: str = "// synthetic suffix rules\ncom\nnet\norg\n"
+
+    @property
+    def psl_text(self) -> str:
+        """The suffix rules, one per suffix of the spec: psl.dat's text."""
+        return "\n".join(["// synthetic suffix rules", *self.spec.suffixes]) + "\n"
 
 
 def _draw_ints(fs: FamilySpec, n: int, rng: np.random.Generator,
@@ -525,10 +539,7 @@ def write_corpus(corpus: Corpus, out_dir: str) -> dict[str, str]:
     for name, table in (("alexa", corpus.alexa), ("labels", corpus.labels)):
         plds = sorted(table)
         write_table(paths[name], None, (plds, [table[p] for p in plds]))
-    with open(paths["psl"], "w") as fh:
-        fh.write("// synthetic suffix rules\n")
-        for s in corpus.spec.suffixes:
-            fh.write(s + "\n")
+    write_table(paths["psl"], None, [corpus.psl_text.splitlines()])
     truth = {
         "seed": corpus.spec.seed,
         "n_plds": corpus.spec.n_plds,
@@ -544,6 +555,3 @@ def write_corpus(corpus: Corpus, out_dir: str) -> dict[str, str]:
         fh.write(corpus.spec.to_json())
     return paths
 
-
-def read_labels(path: str) -> dict[str, str]:
-    return dict(zip(*read_table(path, None, (str, str))))

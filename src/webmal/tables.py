@@ -1,12 +1,12 @@
 """One reader and one writer for every tab-separated table the pipeline
-reads or writes, and the writer of every JSON report.
+reads or writes, and the reader and writer of every JSON file.
 
 The rules are the same for every table. A table the pipeline writes starts
 with its exact header line; an external input has no header. A float cell
 is written as its repr, so it reads back to the same bits. Empty lines are
 skipped but still counted in line numbers. A path ending in ".gz" is read
 through gzip. A malformed row, or a line that is not UTF-8 text, raises
-InputError("path:lineno: ...").
+InputError("path:lineno: ..."), and so does a JSON file that does not parse.
 
 Every write goes to `path + ".tmp"`, renamed onto `path` once complete: a
 crash or an interrupt of the process leaves the old file or the new one,
@@ -85,6 +85,24 @@ def write_json(payload, path: str) -> None:
     of every JSON report."""
     with _replacing(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def read_json(path: str) -> dict:
+    """The object in a JSON file; a file that is not UTF-8 JSON text, or
+    whose top-level value is not an object, raises InputError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}:{lineno}: not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    if not isinstance(payload, dict):
+        raise InputError(f"{path}: expected a JSON object, got "
+                         f"{type(payload).__name__}")
+    return payload
 
 
 @contextlib.contextmanager

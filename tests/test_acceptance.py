@@ -104,7 +104,7 @@ def test_criterion_02_pairwise_family_discrimination():
         for fam_b in FAMILY_ORDER:
             if fam_b == fam_a:
                 continue
-            cmp = compare(data, fit, fam_b, significance=0.01)
+            cmp = compare(data, fit, fam_b)
             results[(fam_a, fam_b)] = (cmp.r, cmp.p)
     passed, details = 0, []
     for a, b in itertools.combinations(FAMILY_ORDER, 2):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from webmal.binning import fibonacci_bins, log_bins
+from webmal.binning import fibonacci_bins
 from webmal.errors import EmptyData, InvalidParams
 
 
@@ -51,17 +51,3 @@ def test_fibonacci_rejects_bad_data():
         fibonacci_bins([0, 1, 2])
     with pytest.raises(InvalidParams):
         fibonacci_bins([1.5, 2.0])
-
-
-def test_log_bins_cover_and_count():
-    rng = np.random.default_rng(5)
-    data = rng.pareto(1.2, size=800) + 1
-    h = log_bins(data)
-    assert h.scheme == "log"
-    assert sum(b.count for b in h.bins) == len(data)
-    assert h.bins[0].lo == pytest.approx(float(data.min()))
-    assert h.bins[-1].hi >= float(data.max())
-    with pytest.raises(EmptyData):
-        log_bins([])
-    with pytest.raises(InvalidParams):
-        log_bins([1.0, -2.0])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -385,3 +386,99 @@ def test_zero_malicious_cooccur(tmp_path):
                "--mdn-out", mdns])
     assert rc == 0
     assert json.loads(open(mdns).read()) == []
+
+
+@pytest.fixture(scope="module")
+def run_config(tmp_path_factory, corpus):
+    """The config of one completed `webmal run` on the corpus."""
+    root = tmp_path_factory.mktemp("json-inputs")
+    cfg = {name: os.path.join(corpus, f) for name, f in (
+        ("edges", "edges.tsv"), ("psl", "psl.dat"), ("verdicts", "verdicts.tsv"),
+        ("observations", "observations.tsv"), ("alexa", "alexa.tsv"))}
+    cfg.update(out_dir=str(root / "run"), fit_features=["num_pages"],
+               fit_restarts=2, epochs=300)
+    path = root / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 0
+    return cfg
+
+
+def _bad_json(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    return bad
+
+
+def _dga_table(tmp_path, run_config, text):
+    names = tmp_path / "names.txt"
+    names.write_text("google\n")
+    bad = _bad_json(tmp_path, text)
+    return ["dga", "--names", str(names), "--table", str(bad),
+            "--out", str(tmp_path / "dga.tsv")], bad
+
+
+def _evaluate_model(tmp_path, run_config, text):
+    bad = _bad_json(tmp_path, text)
+    return ["evaluate", "--model", str(bad), "--features",
+            os.path.join(run_config["out_dir"], "features.tsv"),
+            "--out", str(tmp_path / "eval.json")], bad
+
+
+def _synth_spec(tmp_path, run_config, text):
+    bad = _bad_json(tmp_path, text)
+    return ["synth", "--spec", str(bad), "--out", str(tmp_path / "corpus")], bad
+
+
+def _run_config(tmp_path, run_config, text):
+    bad = _bad_json(tmp_path, text)
+    return ["run", "--config", str(bad)], bad
+
+
+def _run_tsv_fits(tmp_path, run_config, text):
+    """`run --tsv` on a copy of the run whose fits.json holds text, with a
+    manifest that agrees: the fits stage is skipped, and only the TSV mirror
+    reads the file."""
+    from webmal.pipeline import file_sha256
+    run = tmp_path / "run"
+    shutil.copytree(run_config["out_dir"], run)
+    fits = run / "fits.json"
+    fits.write_text(text)
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["stages"]["fits"]["outputs"]["fits.json"] = file_sha256(str(fits))
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(run_config, out_dir=str(run))))
+    return ["run", "--config", str(cfg), "--tsv"], fits
+
+
+# every JSON input: the command that reads it, and the error that names it
+JSON_INPUTS = {
+    "dga-table": (_dga_table, 1, "input error: "),
+    "evaluate-model": (_evaluate_model, 1, "input error: "),
+    "synth-spec": (_synth_spec, 1, "input error: "),
+    "run-config": (_run_config, 3, "config error: cannot read config: "),
+    "run-tsv-fits": (_run_tsv_fits, 1, "input error: "),
+}
+
+
+@pytest.mark.parametrize("name", JSON_INPUTS)
+def test_truncated_json_input_names_its_line(tmp_path, run_config, capsys, name):
+    command, code, prefix = JSON_INPUTS[name]
+    argv, bad = command(tmp_path, run_config, '{"alphabet": "ab",')
+    assert main(argv) == code
+    assert f"{prefix}{bad}:1: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("synth-spec", "{}", "missing key 'seed'"),
+    ("synth-spec", '{"seed": 1, "n_plds": "x"}', "invalid literal for int()"),
+    ("dga-table", "[1]", "expected a JSON object, got list"),
+    ("dga-table", '{"alphabet": 5, "counts": [], "smoothing": 0}',
+     "object of type 'int' has no len()"),
+], ids=["synth-spec-empty", "synth-spec-bad-int", "dga-table-list",
+        "dga-table-bad-alphabet"])
+def test_malformed_json_input_is_input_error(tmp_path, run_config, capsys, name,
+                                             text, message):
+    argv, bad = JSON_INPUTS[name][0](tmp_path, run_config, text)
+    assert main(argv) == 1
+    assert f"input error: {bad}: {message}" in capsys.readouterr().err

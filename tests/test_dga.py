@@ -102,7 +102,10 @@ def test_score_formula_recomputation():
     t = train_freq_table(["banana", "bandana"], smoothing=0.5)
     name = "banda"
     pairs = [("b", "a"), ("a", "n"), ("n", "d"), ("d", "a")]
-    expect = 100.0 * np.mean([t.pair_probability(a, b) for a, b in pairs])
+    i = t.alphabet.index
+    m = len(t.alphabet)
+    expect = 100.0 * np.mean([(t.counts[i(a), i(b)] + 0.5)
+                              / (t.counts[i(a)].sum() + 0.5 * m) for a, b in pairs])
     assert name_badness(name, t) == pytest.approx(expect, rel=1e-12)
 
 

@@ -13,6 +13,11 @@ from webmal.psl import parse_psl, extract_pld
 RULES = parse_psl("com\nnet\norg\nfi\ncn\ncom.cn\n")
 
 
+def _edges_by_pair(g):
+    return {(int(s), int(d)): int(w)
+            for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight)}
+
+
 def test_collapse_and_self_loop():
     edges = [
         ("http://a.one.com/p1", "http://two.com/x"),
@@ -21,8 +26,8 @@ def test_collapse_and_self_loop():
     ]
     g = build_pld_graph(edges, RULES)
     assert g.plds == ["one.com", "two.com"]
-    d = g.edge_dict()
-    one, two = g.node_id("one.com"), g.node_id("two.com")
+    d = _edges_by_pair(g)
+    one, two = g.plds.index("one.com"), g.plds.index("two.com")
     assert d[(one, two)] == 2
     assert d[(one, one)] == 1  # intra-PLD link becomes a self-loop
     # distinct page URLs per PLD: one.com has p1(a sub), p2(b sub), p1, p3 -> 4
@@ -108,7 +113,7 @@ def test_against_recount_oracle():
     assert g.skipped_rows == 60
     pages, edges = oracle_graph_recount(rows, lambda u: extract_pld(u, RULES))
     assert {p: int(c) for p, c in zip(g.plds, g.page_counts)} == pages
-    named = {(g.plds[s], g.plds[d]): int(w) for (s, d), w in g.edge_dict().items()}
+    named = {(g.plds[s], g.plds[d]): int(w) for (s, d), w in _edges_by_pair(g).items()}
     assert named == edges
     assert int(g.edge_weight.sum()) == len(rows) - 60
 
@@ -146,7 +151,7 @@ def test_tsv_roundtrip(tmp_path):
     g2 = read_graph(str(np_), str(ep))
     assert g2.plds == g.plds
     assert np.array_equal(g2.page_counts, g.page_counts)
-    assert g2.edge_dict() == g.edge_dict()
+    assert _edges_by_pair(g2) == _edges_by_pair(g)
 
 
 _NODES = "pld\tnode_id\tpage_count\na.com\t0\t2\nb.com\t1\t1\n"

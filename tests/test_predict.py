@@ -1,5 +1,7 @@
 """Feature assembly, split/balance, logistic model, stacking, evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -58,8 +60,8 @@ def test_all_set_has_fourteen_columns():
 def test_alexa_imputation_sentinel():
     plds, metrics, reps, dga, alexa = fake_sources()
     fm = assemble_features(metrics, reps, dga, alexa, "alexa")
-    rank = fm.column("rank")
-    flag = fm.column("in_top_1M")
+    rank = fm.X[:, fm.feature_names.index("rank")]
+    flag = fm.X[:, fm.feature_names.index("in_top_1M")]
     i0, i1, i2 = (fm.plds.index(p) for p in plds[:3])
     assert rank[i0] == 5 and flag[i0] == 1.0
     assert rank[i1] == 2_000_000 and flag[i1] == 0.0   # ranked, below top 1M
@@ -172,9 +174,10 @@ def test_undersample_inclusion_frequency():
 def test_training_beats_zero_weights_on_separated_data():
     X = np.array([[x] for x in (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)])
     y = np.array([0, 0, 0, 1, 1, 1])
-    model = train_logreg(X, y, l2=0.01, normalize=False)
-    loss_fit = oracle_logistic_loss(X, y, model.weights, model.bias, 0.01)
-    loss_zero = oracle_logistic_loss(X, y, np.zeros(1), 0.0, 0.01)
+    model = train_logreg(X, y, l2=0.01)
+    Z = (X - model.norm_mean) / model.norm_std   # the columns it trained on
+    loss_fit = oracle_logistic_loss(Z, y, model.weights, model.bias, 0.01)
+    loss_zero = oracle_logistic_loss(Z, y, np.zeros(1), 0.0, 0.01)
     assert loss_fit < loss_zero
     assert model.converged
 
@@ -195,7 +198,7 @@ def test_gradient_matches_central_differences():
     y = (rng.random(60) < 0.4).astype(float)
     # stop well short of the optimum so the gradient dwarfs the O(h^2)
     # central-difference noise and the relative comparison is meaningful
-    model = train_logreg(X, y, l2=0.05, epochs=5, normalize=False)
+    model = train_logreg(X, y, l2=0.05, epochs=5)
     w, b = model.weights, model.bias
     gw, gb = _gradient(X, y, w, b, 0.05)
     h = 1e-6
@@ -229,16 +232,25 @@ def test_training_deterministic():
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
+def _model(names, weights, bias, mean=None, std=None):
+    """A Model whose normalization is the identity unless given."""
+    k = len(names)
+    return Model(feature_names=names, weights=weights, bias=bias,
+                 norm_mean=np.zeros(k) if mean is None else mean,
+                 norm_std=np.ones(k) if std is None else std)
+
+
 def test_predict_proba_formula_and_limits():
-    model = Model(feature_names=("a", "b"), weights=np.zeros(2), bias=0.0)
+    model = _model(("a", "b"), np.zeros(2), 0.0)
     assert np.allclose(predict_proba(model, np.random.rand(5, 2)), 0.5)
-    hot = Model(feature_names=("a",), weights=np.zeros(1), bias=40.0)
+    hot = _model(("a",), np.zeros(1), 40.0)
     assert predict_proba(hot, np.zeros((1, 1)))[0] > 1 - 1e-12
     rng = np.random.default_rng(2)
     w = rng.normal(size=3)
-    m = Model(feature_names=("a", "b", "c"), weights=w, bias=0.3)
+    mean, std = rng.normal(size=3), rng.random(3) + 0.5
+    m = _model(("a", "b", "c"), w, 0.3, mean, std)
     X = rng.normal(size=(20, 3))
-    direct = 1.0 / (1.0 + np.exp(-(X @ w + 0.3)))
+    direct = 1.0 / (1.0 + np.exp(-(((X - mean) / std) @ w + 0.3)))
     assert np.allclose(predict_proba(m, X), direct, atol=1e-12)
     with pytest.raises(DimensionMismatch):
         predict_proba(m, np.zeros((4, 2)))
@@ -259,9 +271,16 @@ def test_model_json_roundtrip(tmp_path):
     assert np.allclose(probs_a, probs_b, atol=1e-15)
 
 
+def test_model_without_normalization_is_input_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"feature_names": ["u"], "weights": [1.0],
+                                "bias": 0.0, "normalization": None}))
+    with pytest.raises(InputError, match="malformed model file"):
+        read_model(str(path))
+
+
 def test_feature_importance_sorted():
-    m = Model(feature_names=("a", "b", "c"),
-              weights=np.array([0.5, -2.0, 1.0]), bias=0.0)
+    m = _model(("a", "b", "c"), np.array([0.5, -2.0, 1.0]), 0.0)
     ranking = feature_importance(m)
     assert ranking == [("b", 2.0), ("c", 1.0), ("a", 0.5)]
 

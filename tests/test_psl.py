@@ -42,7 +42,6 @@ def test_private_section_flag():
             "blogspot.com\n"
             "// ===END PRIVATE DOMAINS===\n")
     assert "blogspot.com" in parse_psl(text).normal
-    assert "blogspot.com" not in parse_psl(text, include_private=False).normal
 
 
 def test_extract_basic():

@@ -13,7 +13,8 @@ from webmal.metrics import degrees
 from webmal.psl import parse_psl
 from webmal.reputation import malicious_file_sets, score_plds
 from webmal.synthlab import (ClassPair, FamilySpec, SyntheticSpec, default_spec,
-                             plant_crawl, read_labels, sample, write_corpus)
+                             plant_crawl, read_spec, sample, write_corpus)
+from webmal.tables import read_table
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,7 @@ def test_sample_deterministic_and_validates():
 
 def test_spec_json_roundtrip():
     spec = default_spec(seed=11, n_plds=500, components=(4, 3, 3))
-    again = SyntheticSpec.from_json(spec.to_json())
+    again = SyntheticSpec.from_dict(json.loads(spec.to_json()))
     assert again == spec
 
 
@@ -122,7 +123,7 @@ def test_planted_page_counts_exact(corpus):
     g = build_pld_graph(corpus.edges, rules)
     assert g.n_nodes == corpus.spec.n_plds
     for pld, want in corpus.planted_pages.items():
-        assert int(g.page_counts[g.node_id(pld)]) == want
+        assert int(g.page_counts[g.plds.index(pld)]) == want
 
 
 def test_planted_indegree_exact_up_to_self_loop(corpus):
@@ -130,7 +131,7 @@ def test_planted_indegree_exact_up_to_self_loop(corpus):
     g = build_pld_graph(corpus.edges, rules)
     indeg, _ = degrees(g)
     for pld, want in corpus.planted_indegree.items():
-        assert int(indeg[g.node_id(pld)]) == want + 1
+        assert int(indeg[g.plds.index(pld)]) == want + 1
 
 
 def test_dichotomy_roundtrips_labels(corpus):
@@ -198,11 +199,26 @@ def test_corpus_files_parse_back(tmp_path):
     profiles = read_observations(paths["observations"])
     verdicts = read_verdicts(paths["verdicts"])
     reps = score_plds(profiles, verdicts, tau=0.0)
-    labels = read_labels(paths["labels"])
+    labels = dict(zip(*read_table(paths["labels"], None, (str, str))))
     assert {r.pld: r.dichotomy for r in reps} == labels
     truth = json.loads(open(paths["truth"]).read())
     assert truth["n_malicious"] == spec.n_malicious
-    assert SyntheticSpec.from_json(open(paths["spec"]).read()) == spec
+    assert read_spec(paths["spec"]) == spec
+
+
+def test_psl_text_is_the_written_psl(tmp_path):
+    from webmal.graph import build_from_file
+    from webmal.psl import load_psl
+
+    c = plant_crawl(default_spec(1, n_plds=60, suffixes=("co.uk",)))
+    paths = write_corpus(c, str(tmp_path / "corpus"))
+    assert open(paths["psl"]).read() == c.psl_text
+    g = build_pld_graph(c.edges, parse_psl(c.psl_text))
+    assert g.n_nodes == 60
+    g2 = build_from_file(paths["edges"], load_psl(paths["psl"]))
+    assert g2.plds == g.plds
+    for name in ("page_counts", "edge_src", "edge_dst", "edge_weight"):
+        assert np.array_equal(getattr(g2, name), getattr(g, name)), name
 
 
 def test_homophily_links_within_class():

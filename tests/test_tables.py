@@ -19,8 +19,8 @@ from webmal.metrics import METRICS_HEADER, read_metrics
 from webmal.predict import read_alexa, read_features
 from webmal.reputation import (REPUTATION_HEADER, read_observations,
                                read_reputation, read_verdicts)
-from webmal.synthlab import read_labels
-from webmal.tables import _read_rows, read_table, write_json, write_table
+from webmal.tables import (_read_rows, read_json, read_table, write_json,
+                           write_table)
 
 _NODES = "pld\tnode_id\tpage_count\na.com\t0\t2\nb.com\t1\t1\n"
 _EDGES = "src_id\tdst_id\tweight\n0\t1\t3\n"
@@ -75,7 +75,7 @@ READERS = {
                  "not a number: 'x'"),
     "alexa": (lambda p, t: read_alexa(p), None, "a.com\t1\n", "b.com",
               "b.com\tx", "not an integer: 'x'"),
-    "labels": (lambda p, t: read_labels(p), None, "a.com\tclean\n", "b.com",
+    "labels": (lambda p, t: dict(zip(*read_table(p, None, (str, str)))), None, "a.com\tclean\n", "b.com",
                None, None),
     "dga-stage-nodes": (_stage_dga, NODE_HEADER, "a.com\t0\t2\n", "b.com\t1",
                         "b.com\t1\tx", "not an integer: 'x'"),
@@ -210,3 +210,24 @@ def test_write_json_format(tmp_path):
     write_json({"b": [1.5, None], "a": {"y": 1, "x": "s"}}, str(path))
     assert path.read_text() == '{"a":{"x":"s","y":1},"b":[1.5,null]}\n'
     assert json.loads(path.read_text()) == {"a": {"x": "s", "y": 1}, "b": [1.5, None]}
+
+
+def test_read_json_reads_back_write_json(tmp_path):
+    path = tmp_path / "r.json"
+    write_json({"b": [1.5, None], "a": {"x": "s"}}, str(path))
+    assert read_json(str(path)) == {"a": {"x": "s"}, "b": [1.5, None]}
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{"alphabet": "ab",', ":1: Expecting property name"),
+    (b'{\n "a": 1,\n "b": }\n', ":3: Expecting value"),
+    (b"", ":1: Expecting value"),
+    (b'{\n "a": "\xff"}\n', ":2: not UTF-8 text"),
+    (b"[1]\n", ": expected a JSON object, got list"),
+], ids=["truncated", "third-line", "empty", "not-utf8", "not-an-object"])
+def test_malformed_json_names_its_line(tmp_path, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(InputError) as exc:
+        read_json(str(path))
+    assert str(exc.value).startswith(f"{path}{message}")
