@@ -13,6 +13,7 @@ import sys
 from dataclasses import fields
 
 from .errors import ConfigError, InputError, NumericalError, WebmalError
+from .predict import FEATURE_SETS
 
 
 def _name_list(text: str) -> tuple[str, ...]:
@@ -28,7 +29,7 @@ def _add_run_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", dest="out_dir", help="run directory")
     p.add_argument("--tau", type=float, help="detection-ratio threshold")
     p.add_argument("--feature-set", dest="feature_set",
-                   choices=("centrality", "domain", "graph", "alexa", "all"))
+                   choices=tuple(FEATURE_SETS))
     p.add_argument("--split-seed", dest="split_seed", type=int)
     p.add_argument("--threshold", type=float, help="classification threshold")
     p.add_argument("--fit-features", dest="fit_features", type=_name_list,
@@ -175,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-nodes", required=True)
     p.add_argument("--out-edges", required=True)
     p.add_argument("--strict", action="store_true",
-                   help="fail on unknown suffixes instead of skipping rows")
+                   help="skip rows whose host no suffix rule matches, instead "
+                        "of taking the host's last label as its suffix")
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("metrics", help="local and spectral node metrics")
@@ -220,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dga", required=True)
     p.add_argument("--alexa")
     p.add_argument("--feature-set", dest="feature_set", default="all",
-                   choices=("centrality", "domain", "graph", "alexa", "all"))
+                   choices=tuple(FEATURE_SETS))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_features)
 

@@ -52,76 +52,60 @@ class PldGraph:
                              shape=(self.n_nodes, self.n_nodes))
 
 
-class GraphBuilder:
-    """Accumulates page edges; resolves each URL of an ingested row to its PLD
-    once, parsing the host and consulting the host cache only on a miss."""
-
-    def __init__(self, rules: SuffixRules, strict: bool = False):
-        self.rules = rules
-        self.strict = strict
-        self._url_pld: dict[str, str] = {}
-        self._edges: dict[tuple[str, str], int] = {}
-        self._host_cache: dict[str, str] = {}
-        self.skipped = 0
-        self.ingested = 0
-
-    def _pld(self, url: str) -> str:
-        pld = self._url_pld.get(url)
-        if pld is None:
-            host = _host_of(url)
-            pld = self._host_cache.get(host)
-            if pld is None:
-                pld = pld_of_host(host, self.rules, strict=self.strict)
-                self._host_cache[host] = pld
-        return pld
-
-    def add(self, src_url: str, dst_url: str) -> bool:
-        """Ingest one page link; returns False when the row is skipped."""
-        try:
-            s = self._pld(src_url)
-            d = s if dst_url == src_url else self._pld(dst_url)
-        except InputError:
-            self.skipped += 1
-            return False
-        # stored once both ends resolve: a URL seen only in skipped rows is no page
-        self._url_pld[src_url] = s
-        self._url_pld[dst_url] = d
-        key = (s, d)
-        self._edges[key] = self._edges.get(key, 0) + 1
-        self.ingested += 1
-        return True
-
-    def build(self) -> PldGraph:
-        if not self._edges:
-            raise EmptyInput("no valid page edges ingested")
-        pages = Counter(self._url_pld.values())
-        plds = sorted(pages)
-        index = {p: i for i, p in enumerate(plds)}
-        page_counts = np.array([pages[p] for p in plds], dtype=np.int64)
-        items = sorted((index[s], index[d], w) for (s, d), w in self._edges.items())
-        src = np.array([it[0] for it in items], dtype=np.int64)
-        dst = np.array([it[1] for it in items], dtype=np.int64)
-        weight = np.array([it[2] for it in items], dtype=np.int64)
-        return PldGraph(plds, page_counts, src, dst, weight,
-                        skipped_rows=self.skipped, ingested_rows=self.ingested)
-
-
 def build_pld_graph(page_edges: Iterable[tuple[str, str]], rules: SuffixRules,
                     strict: bool = False) -> PldGraph:
     """Aggregate an iterable of (src_url, dst_url) pairs into a PLD graph.
 
-    Rows whose endpoints yield no PLD are counted in skipped_rows, not fatal.
+    Each URL of an ingested row is resolved to its PLD once, parsing the
+    host and consulting the host cache only on a miss. Rows whose endpoints
+    yield no PLD are counted in skipped_rows, not fatal; with strict, a host
+    that no suffix rule matches is one of those.
     """
-    builder = GraphBuilder(rules, strict=strict)
+    url_pld: dict[str, str] = {}
+    host_pld: dict[str, str] = {}
+    edges: dict[tuple[str, str], int] = {}
+    skipped = 0
+
+    def resolve(url: str) -> str:
+        pld = url_pld.get(url)
+        if pld is None:
+            host = _host_of(url)
+            pld = host_pld.get(host)
+            if pld is None:
+                pld = pld_of_host(host, rules, strict=strict)
+                host_pld[host] = pld
+        return pld
+
     for src_url, dst_url in page_edges:
-        builder.add(src_url, dst_url)
-    return builder.build()
+        try:
+            s = resolve(src_url)
+            d = s if dst_url == src_url else resolve(dst_url)
+        except InputError:
+            skipped += 1
+            continue
+        # stored once both ends resolve: a URL seen only in skipped rows is no page
+        url_pld[src_url] = s
+        url_pld[dst_url] = d
+        key = (s, d)
+        edges[key] = edges.get(key, 0) + 1
+    if not edges:
+        raise EmptyInput("no valid page edges ingested")
+    pages = Counter(url_pld.values())
+    plds = sorted(pages)
+    index = {p: i for i, p in enumerate(plds)}
+    page_counts = np.fromiter(map(pages.__getitem__, plds), np.int64, len(plds))
+    src = np.fromiter((index[s] for s, _ in edges), np.int64, len(edges))
+    dst = np.fromiter((index[d] for _, d in edges), np.int64, len(edges))
+    weight = np.fromiter(edges.values(), np.int64, len(edges))
+    order = np.lexsort((dst, src))
+    return PldGraph(plds, page_counts, src[order], dst[order], weight[order],
+                    skipped_rows=skipped, ingested_rows=int(weight.sum()))
 
 
 def iter_edge_file(path: str) -> Iterator[tuple[str, str]]:
     """Yield URL pairs from a TSV file (src<TAB>dst), gzip-aware. A malformed
     row, a line that is not UTF-8 text among them, yields ("", ""), which
-    the builder counts as skipped."""
+    build_pld_graph counts as skipped."""
     with open_text(path, errors="surrogateescape") as fh:
         for line in fh:
             line = line.rstrip("\n")

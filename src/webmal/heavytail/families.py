@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import exp1, gammaincc, log_ndtr, ndtr, ndtri
 
 from ..errors import InvalidParams
@@ -101,7 +100,8 @@ def log_upper_gamma(s: float, x: float) -> float:
 
 @dataclass
 class TailDistribution:
-    """Common interface: logpdf/cdf/ppf on the tail [x_min, inf)."""
+    """Common interface: logpdf and cdf on the tail [x_min, inf). Every
+    family but the truncated power law also has a closed-form ppf."""
 
     params: dict[str, float]
     x_min: float
@@ -123,25 +123,6 @@ class TailDistribution:
 
     def cdf(self, x) -> np.ndarray:
         raise NotImplementedError
-
-    def ppf(self, q) -> np.ndarray:
-        """Numerical inverse by bracketed root finding; overridden when closed-form."""
-        qs = np.atleast_1d(np.asarray(q, dtype=float))
-        if np.any((qs < 0) | (qs >= 1)):
-            raise InvalidParams("quantiles must lie in [0, 1)")
-        out = np.empty_like(qs)
-        for i, qi in enumerate(qs):
-            if qi <= 0:
-                out[i] = self.x_min
-                continue
-            hi = self.x_min * 2.0
-            while self.cdf(hi) < qi:
-                hi *= 2.0
-                if hi > 1e300:
-                    raise InvalidParams("quantile bracket exceeded float range")
-            out[i] = brentq(lambda t: float(self.cdf(t)) - qi, self.x_min, hi,
-                            xtol=1e-12 * self.x_min, rtol=1e-14)
-        return out if np.asarray(q).ndim else float(out[0])
 
 
 class PowerLaw(TailDistribution):

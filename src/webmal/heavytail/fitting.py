@@ -5,14 +5,16 @@ tail empirical CDF and the fitted model over candidate x_min values, ties
 going to the smaller candidate. Families are compared on identical tails via
 the normalized log-likelihood ratio with the variance estimated from the
 per-point differences, and a family is eliminated only when a competitor
-beats it decisively (R < 0 with p below SIGNIFICANCE).
+beats it decisively (R < 0 with p below SIGNIFICANCE). A comparison keeps
+only R, p and its verdict; the competitor's refit is not reported.
 
 Each family's numeric fit is one record in `_TAIL_FITS` (a `_TailFit`):
 its start points, its warm-start encoding, its closed form where one exists
-(power law, exponential), and a builder of its objective. The objective is
-one closure on the optimizer's vector that decodes it, checks the parameter
-box and evaluates the log-likelihood on local floats, with no dict and no
-dispatch on the family name.
+(power law, exponential), and a builder of its objective. Starts, closed
+forms and objectives read one tail's `_TailStats` and nothing else. The
+objective is one closure on the optimizer's vector that decodes it, checks
+the parameter box and evaluates the log-likelihood on local floats, with no
+dict and no dispatch on the family name.
 
 The numeric fits use Nelder-Mead implemented in this module (`minimize`),
 which reproduces scipy's non-adaptive Nelder-Mead iterate for iterate and
@@ -28,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,7 +45,7 @@ from .families import (FAMILIES, FAMILY_ORDER, TailDistribution,
 DEFAULT_RESTARTS = 8
 SIGNIFICANCE = 0.01
 
-# optimizer box constraints; lambda's box is data-dependent (see _Boxes)
+# optimizer box constraints; lambda's box is data-dependent (see _TailStats)
 ALPHA_LO, ALPHA_HI = 1.0, 4.0
 BETA_LO, BETA_HI = 0.0, 3.0
 MU_LO, MU_HI = -30.0, 30.0
@@ -59,18 +61,12 @@ class FitResult:
     loglik: float
     n_tail: int
 
-    def distribution(self) -> TailDistribution:
-        return make_distribution(self.family, self.params, self.x_min)
-
 
 @dataclass
 class ComparisonResult:
     r: float
     p: float
     favored: str           # "f" | "g" | "indeterminate"
-    family_f: str
-    family_g: str
-    fit_g: FitResult | None = None
 
 
 @dataclass
@@ -80,15 +76,16 @@ class CandidateSet:
     candidates: list[str]
     selection: str | None
     selection_flag: str | None       # "unique" | "judged" | None
-    comparisons: list[ComparisonResult] = field(default_factory=list)
 
     def selected_fit(self) -> FitResult | None:
         return self.fits[self.selection] if self.selection else None
 
 
 class _TailStats:
-    """Sufficient statistics of one tail; keeps objective evaluations O(1)
-    for every family except the stretched exponential."""
+    """Sufficient statistics of one tail, which keep objective evaluations
+    O(1) for every family except the stretched exponential, and what the
+    fits derive from them alone: the lambda box [lam_lo, lam_hi] and the
+    exponential's closed-form rate exp_lam, a start point."""
 
     def __init__(self, tail: np.ndarray, x_min: float):
         self.x_min = float(x_min)
@@ -99,6 +96,11 @@ class _TailStats:
         self.sum_log_sq = float((self.log_x ** 2).sum())
         self.mean = self.sum_x / self.n
         self.log_xmin = math.log(x_min)
+        excess = max(self.mean - self.x_min, 1e-12 * max(self.x_min, 1.0))
+        self.lam_hi = 10.0 / self.mean
+        # low enough that the cutoff term is negligible across the tail
+        self.lam_lo = min(1e-8 / max(self.sum_x, 1.0), 0.1 * self.lam_hi)
+        self.exp_lam = 1.0 / excess
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,15 +303,6 @@ def _nelder_mead_2d(fun: Objective, x0: float, y0: float, xatol: float,
     return NelderMeadResult([x0, y0], f0, nfev, nit)
 
 
-class _Boxes:
-    def __init__(self, stats: _TailStats):
-        excess = max(stats.mean - stats.x_min, 1e-12 * max(stats.x_min, 1.0))
-        self.lam_hi = 10.0 / stats.mean
-        # low enough that the cutoff term is negligible across the tail
-        self.lam_lo = min(1e-8 / max(stats.sum_x, 1.0), 0.1 * self.lam_hi)
-        self.exp_lam = 1.0 / excess
-
-
 # what makes a point infeasible: its decoding overflows, or its likelihood
 # has no value there (log_upper_gamma raises InvalidParams)
 _INFEASIBLE = (InvalidParams, OverflowError, ValueError)
@@ -320,7 +313,7 @@ class _TailFit:
 
     Parameters run through a transform (logs for scale parameters) so the
     simplex explores decades evenly. decode maps t to the parameters;
-    objective(stats, boxes) returns one closure on t that decodes, checks
+    objective(stats) returns one closure on t that decodes, checks
     the parameter box and evaluates -loglik on local floats, inf outside
     the box or where the likelihood is not finite. An x_min scan calls it
     hundreds of thousands of times, so it builds no dict and dispatches on
@@ -335,24 +328,24 @@ class _TailFit:
 
     closed_form: Callable[[_TailStats], tuple[dict[str, float], float]] | None = None
 
-    def first_start(self, stats: _TailStats, boxes: _Boxes) -> list[float]:
+    def first_start(self, stats: _TailStats) -> list[float]:
         raise NotImplementedError
 
-    def start_box(self, boxes: _Boxes) -> list[tuple[float, float]]:
+    def start_box(self, stats: _TailStats) -> list[tuple[float, float]]:
         raise NotImplementedError
 
     def encode(self, params: dict[str, float]) -> list[float]:
         raise NotImplementedError
 
-    def decode(self, stats: _TailStats, boxes: _Boxes, t) -> dict[str, float]:
+    def decode(self, stats: _TailStats, t) -> dict[str, float]:
         raise NotImplementedError
 
-    def objective(self, stats: _TailStats, boxes: _Boxes) -> Objective:
+    def objective(self, stats: _TailStats) -> Objective:
         raise NotImplementedError
 
-    def starts(self, stats: _TailStats, boxes: _Boxes, restarts: int) -> list[list[float]]:
-        first = self.first_start(stats, boxes)
-        box = self.start_box(boxes)
+    def starts(self, stats: _TailStats, restarts: int) -> list[list[float]]:
+        first = self.first_start(stats)
+        box = self.start_box(stats)
         return [first] + [[lo + u * (hi - lo) for u, (lo, hi) in zip(row, box)]
                           for row in _halton(len(box), restarts).tolist()]
 
@@ -371,19 +364,19 @@ class _PowerLawFit(_TailFit):
         a = _power_law_alpha(stats)
         return {"alpha": a}, _power_law_loglik(stats, a)
 
-    def first_start(self, stats, boxes):
+    def first_start(self, stats):
         return [math.log(max(_power_law_alpha(stats) - 1.0, 1e-6))]
 
-    def start_box(self, boxes):
+    def start_box(self, stats):
         return [(math.log(1e-3), math.log(3.0))]
 
     def encode(self, params):
         return [math.log(params["alpha"] - 1.0)]
 
-    def decode(self, stats, boxes, t):
+    def decode(self, stats, t):
         return {"alpha": 1.0 + math.exp(t[0])}
 
-    def objective(self, stats, boxes):
+    def objective(self, stats):
         def objective(t):
             try:
                 a = 1.0 + math.exp(t[0])
@@ -409,20 +402,20 @@ class _ExponentialFit(_TailFit):
         lam = 1.0 / excess
         return {"lambda": lam}, _exponential_loglik(stats, lam)
 
-    def first_start(self, stats, boxes):
-        return [math.log(boxes.exp_lam)]
+    def first_start(self, stats):
+        return [math.log(stats.exp_lam)]
 
-    def start_box(self, boxes):
-        return [(math.log(boxes.lam_lo), math.log(boxes.lam_hi))]
+    def start_box(self, stats):
+        return [(math.log(stats.lam_lo), math.log(stats.lam_hi))]
 
     def encode(self, params):
         return [math.log(params["lambda"])]
 
-    def decode(self, stats, boxes, t):
+    def decode(self, stats, t):
         return {"lambda": math.exp(t[0])}
 
-    def objective(self, stats, boxes):
-        lam_hi = boxes.lam_hi
+    def objective(self, stats):
+        lam_hi = stats.lam_hi
 
         def objective(t):
             try:
@@ -437,23 +430,23 @@ class _ExponentialFit(_TailFit):
 
 
 class _TruncPowerLawFit(_TailFit):
-    def first_start(self, stats, boxes):
+    def first_start(self, stats):
         a0 = min(max(_power_law_alpha(stats), 1.05), ALPHA_HI)
-        return [math.log(a0 - 1.0), math.log(boxes.exp_lam)]
+        return [math.log(a0 - 1.0), math.log(stats.exp_lam)]
 
-    def start_box(self, boxes):
+    def start_box(self, stats):
         return [(math.log(1e-2), math.log(3.0)),
-                (math.log(boxes.lam_lo), math.log(boxes.lam_hi))]
+                (math.log(stats.lam_lo), math.log(stats.lam_hi))]
 
     def encode(self, params):
         return [math.log(params["alpha"] - 1.0), math.log(params["lambda"])]
 
-    def decode(self, stats, boxes, t):
+    def decode(self, stats, t):
         return {"alpha": 1.0 + math.exp(t[0]), "lambda": math.exp(t[1])}
 
-    def objective(self, stats, boxes):
+    def objective(self, stats):
         n, xm, sum_log, sum_x = stats.n, stats.x_min, stats.sum_log, stats.sum_x
-        lam_lo, lam_hi = boxes.lam_lo, boxes.lam_hi
+        lam_lo, lam_hi = stats.lam_lo, stats.lam_hi
 
         def objective(t):
             try:
@@ -470,14 +463,13 @@ class _TruncPowerLawFit(_TailFit):
         return objective
 
 
-def _stretched_profile(stats: _TailStats, boxes: _Boxes,
-                       b: float) -> tuple[float, float, float]:
+def _stretched_profile(stats: _TailStats, b: float) -> tuple[float, float, float]:
     """(lambda, sum of x^b, x_min^b) at fixed beta b: the profile likelihood
     has a closed-form lambda, clamped to a positive finite range."""
     s_b = float(np.exp(b * stats.log_x).sum())
     xm_b = stats.x_min ** b
     denom = s_b - stats.n * xm_b
-    lam = stats.n / denom if denom > 0 else boxes.lam_hi
+    lam = stats.n / denom if denom > 0 else stats.lam_hi
     lam = min(max(lam, 1e-300), 10.0 / max(stats.mean ** b, 1e-300))
     return lam, s_b, xm_b
 
@@ -485,20 +477,20 @@ def _stretched_profile(stats: _TailStats, boxes: _Boxes,
 class _StretchedExponentialFit(_TailFit):
     """One free parameter, log beta; lambda is profiled out."""
 
-    def first_start(self, stats, boxes):
+    def first_start(self, stats):
         return [0.0]  # beta = 1
 
-    def start_box(self, boxes):
+    def start_box(self, stats):
         return [(math.log(0.05), math.log(BETA_HI))]
 
     def encode(self, params):
         return [math.log(params["beta"])]
 
-    def decode(self, stats, boxes, t):
+    def decode(self, stats, t):
         b = math.exp(t[0])
-        return {"beta": b, "lambda": _stretched_profile(stats, boxes, b)[0]}
+        return {"beta": b, "lambda": _stretched_profile(stats, b)[0]}
 
-    def objective(self, stats, boxes):
+    def objective(self, stats):
         n, sum_log = stats.n, stats.sum_log
 
         def objective(t):
@@ -507,7 +499,7 @@ class _StretchedExponentialFit(_TailFit):
                 # lambda > 0 always holds: the profile clamps it
                 if not 0 < b <= BETA_HI:
                     return math.inf
-                lam, s_b, xm_b = _stretched_profile(stats, boxes, b)
+                lam, s_b, xm_b = _stretched_profile(stats, b)
                 ll = (n * (math.log(b) + math.log(lam)) + (b - 1) * sum_log
                       - lam * (s_b - n * xm_b))
             except _INFEASIBLE:
@@ -523,21 +515,21 @@ class _LognormalFit(_TailFit):
         self.positive = positive
         self.mu_lo = 1e-12 if positive else MU_LO
 
-    def first_start(self, stats, boxes):
+    def first_start(self, stats):
         m0 = stats.sum_log / stats.n
         s0 = math.sqrt(max(stats.sum_log_sq / stats.n - m0 * m0, 1e-4))
         return [max(m0, self.mu_lo + s0) if self.positive else m0, math.log(s0)]
 
-    def start_box(self, boxes):
+    def start_box(self, stats):
         return [(self.mu_lo, MU_HI), (math.log(0.05), math.log(SIGMA_HI))]
 
     def encode(self, params):
         return [params["mu"], math.log(params["sigma"])]
 
-    def decode(self, stats, boxes, t):
+    def decode(self, stats, t):
         return {"mu": t[0], "sigma": math.exp(t[1])}
 
-    def objective(self, stats, boxes):
+    def objective(self, stats):
         n, sum_log, sum_log_sq = stats.n, stats.sum_log, stats.sum_log_sq
         log_xmin, mu_lo = stats.log_xmin, self.mu_lo
         neg_sum_log = -sum_log
@@ -575,14 +567,13 @@ def _numeric_mle(stats: _TailStats, family: str, restarts: int,
     """Derivative-free maximization of the tail log-likelihood: one
     Nelder-Mead run from each feasible start, the warm start first."""
     fit = _TAIL_FITS[family]
-    boxes = _Boxes(stats)
-    starts = fit.starts(stats, boxes, restarts)
+    starts = fit.starts(stats, restarts)
     if warm is not None:
         try:
             starts.insert(0, fit.encode(warm))
         except (ValueError, KeyError):
             pass
-    objective = fit.objective(stats, boxes)
+    objective = fit.objective(stats)
     best_t, best_ll = None, -math.inf
     for t0 in starts:
         if not math.isfinite(objective(t0)):
@@ -594,7 +585,7 @@ def _numeric_mle(stats: _TailStats, family: str, restarts: int,
             best_t, best_ll = res.x, -res.fun
     if best_t is None:
         raise OptimizerFailure(f"no start converged for {family}")
-    return fit.decode(stats, boxes, best_t), best_ll
+    return fit.decode(stats, best_t), best_ll
 
 
 def mle_fit(data, family: str, x_min: float, *, restarts: int = DEFAULT_RESTARTS,
@@ -704,8 +695,8 @@ def compare(data, fit_f: FitResult, family_g: str, *,
     n = len(tail)
     if n < 2:
         raise TooFewPoints("tail too small to compare")
-    params_g, loglik_g = mle_fit(tail, family_g, fit_f.x_min, restarts=restarts)
-    dist_f = fit_f.distribution()
+    params_g, _ = mle_fit(tail, family_g, fit_f.x_min, restarts=restarts)
+    dist_f = make_distribution(fit_f.family, fit_f.params, fit_f.x_min)
     dist_g = make_distribution(family_g, params_g, fit_f.x_min)
     ll_f = np.asarray(dist_f.logpdf(tail), dtype=float)
     ll_g = np.asarray(dist_g.logpdf(tail), dtype=float)
@@ -720,9 +711,7 @@ def compare(data, fit_f: FitResult, family_g: str, *,
         favored = "indeterminate"
     else:
         favored = "f" if r > 0 else "g"
-    fit_g = FitResult(family_g, params_g, fit_f.x_min,
-                      ks_distance(tail, dist_g), loglik_g, n)
-    return ComparisonResult(r, p, favored, fit_f.family, family_g, fit_g)
+    return ComparisonResult(r, p, favored)
 
 
 _N_PARAMS = {tag: len(cls.param_names) for tag, cls in FAMILIES.items()}
@@ -745,7 +734,6 @@ def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
     """
     fits: dict[str, FitResult | None] = {}
     eliminated_by: dict[str, list[str]] = {tag: [] for tag in families}
-    comparisons: list[ComparisonResult] = []
     for tag in families:
         try:
             fits[tag] = estimate_xmin(data, tag, min_points=min_points, min_tail=min_tail,
@@ -764,7 +752,6 @@ def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
                 cmp_res = compare(data, fit_f, other, restarts=restarts)
             except (OptimizerFailure, TooFewPoints):
                 continue
-            comparisons.append(cmp_res)
             if cmp_res.favored == "g":
                 if other not in eliminated_by[tag]:
                     eliminated_by[tag].append(other)
@@ -787,4 +774,4 @@ def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
                         if not (t == "lognormal" and fits[t].params["mu"] <= 0)]
             if len(positive) == 1:
                 selection, flag = positive[0], "judged"
-    return CandidateSet(fits, eliminated_by, candidates, selection, flag, comparisons)
+    return CandidateSet(fits, eliminated_by, candidates, selection, flag)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -63,6 +62,23 @@ def _env_workers() -> int:
     if n < 1:
         raise ConfigError(f"{WORKERS_ENV} must be >= 1")
     return n
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# what a config value must be, by the annotation of its RunConfig field: a
+# JSON true or false is a bool and nothing else, and an integer is a float
+_JSON_TYPES: dict[str, tuple[Callable[[object], bool], str]] = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple))
+                        and all(isinstance(x, str) for x in v), "a list of strings"),
+}
 
 
 @dataclass
@@ -117,16 +133,16 @@ class RunConfig:
         if self.l2 < 0:
             raise ConfigError("l2 must be nonnegative")
 
-    def config_hash(self) -> str:
-        blob = json.dumps(_config_slice(self, _HASHED), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        annotation = {f.name: f.type for f in fields(cls)}
+        unknown = set(d) - set(annotation)
         if unknown:
             raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
+        for key, value in d.items():
+            accepts, kind = _JSON_TYPES[annotation[key]]
+            if not accepts(value):
+                raise ConfigError(f"{key} must be {kind}, not {value!r}")
         if "fit_features" in d:
             d = dict(d, fit_features=tuple(d["fit_features"]))
         try:
@@ -407,11 +423,6 @@ STAGES: tuple[Stage, ...] = (
           ("model.json", "model_stacked.json", "eval.json"), _stage_train),
 )
 
-# the fields that shape some output: paths, tsv mirroring and the worker
-# count are not among them, so neither relocation nor parallelism changes a
-# report byte
-_HASHED = tuple(sorted({k for s in STAGES for k in s.config_keys}))
-
 
 def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> RunResult:
     """Execute all stages, skipping any whose manifest entry still holds."""
@@ -420,7 +431,7 @@ def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> Ru
     paths = {name: os.path.join(cfg.out_dir, name)
              for stage in STAGES for name in stage.outputs}
     manifest_path = os.path.join(cfg.out_dir, "manifest.json")
-    manifest: dict = {"stages": {}, "config_hash": cfg.config_hash()}
+    manifest: dict = {"stages": {}}
     if os.path.exists(manifest_path):
         try:
             prev = read_json(manifest_path)

@@ -205,18 +205,28 @@ class SyntheticSpec:
             files=ClassPair.from_dict(d["files"]),
             out_propensity=FamilySpec.from_dict(d["out_propensity"]),
             d=int(d.get("d", 56)),
-            detections=tuple(d.get("detections", (1, 8))),
-            components=tuple(d.get("components", ())),
+            detections=_json_list(d, "detections", (1, 8), int),
+            components=_json_list(d, "components", (), int),
             homophily=float(d.get("homophily", 0.0)),
             alexa_clean=float(d.get("alexa_clean", 0.6)),
             alexa_malicious=float(d.get("alexa_malicious", 0.15)),
             dga_fraction=float(d.get("dga_fraction", 0.8)),
-            suffixes=tuple(d.get("suffixes", ("com", "net", "org"))),
-            occurrences=tuple(d.get("occurrences", (1, 3))),
+            suffixes=_json_list(d, "suffixes", ("com", "net", "org"), str),
+            occurrences=_json_list(d, "occurrences", (1, 3), int),
             shared_clean_pool=float(d.get("shared_clean_pool", 0.1)),
         )
         spec.validate()
         return spec
+
+
+def _json_list(d: dict, key: str, default: tuple, kind: type) -> tuple:
+    """d[key] as a tuple, if it is a list whose elements are all of kind (a
+    bool is no int); default when the key is absent. Raises TypeError."""
+    value = d.get(key, default)
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(v, kind) and not isinstance(v, bool) for v in value):
+        raise TypeError(f"{key} must be a list of {kind.__name__}s, not {value!r}")
+    return tuple(value)
 
 
 def read_spec(path: str) -> SyntheticSpec:

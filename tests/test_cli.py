@@ -482,3 +482,45 @@ def test_malformed_json_input_is_input_error(tmp_path, run_config, capsys, name,
     argv, bad = JSON_INPUTS[name][0](tmp_path, run_config, text)
     assert main(argv) == 1
     assert f"input error: {bad}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("tau", "x", "tau must be a number, not 'x'"),
+    ("epochs", "10", "epochs must be an integer, not '10'"),
+    ("epochs", True, "epochs must be an integer, not True"),
+    ("fit_features", 5, "fit_features must be a list of strings, not 5"),
+    ("fit_features", ["indegree", 1], "fit_features must be a list of strings"),
+    ("strict_hosts", "no", "strict_hosts must be true or false, not 'no'"),
+    ("alexa", 3, "alexa must be a string or null, not 3"),
+], ids=["tau-str", "epochs-str", "epochs-bool", "fit_features-int",
+        "fit_features-mixed", "strict_hosts-str", "alexa-int"])
+def test_config_value_of_the_wrong_type_is_config_error(tmp_path, corpus, capsys,
+                                                         key, value, message):
+    cfg = {name: os.path.join(corpus, f) for name, f in (
+        ("edges", "edges.tsv"), ("psl", "psl.dat"), ("verdicts", "verdicts.tsv"),
+        ("observations", "observations.tsv"))}
+    cfg.update(out_dir=str(tmp_path / "run"), **{key: value})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 3
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("components", [1.5], "components must be a list of ints, not [1.5]"),
+    ("components", 3, "components must be a list of ints, not 3"),
+    ("detections", [1, True], "detections must be a list of ints"),
+    ("suffixes", "com", "suffixes must be a list of strs, not 'com'"),
+    ("suffixes", ["com", 7], "suffixes must be a list of strs"),
+], ids=["components-float", "components-int", "detections-bool",
+        "suffixes-str", "suffixes-mixed"])
+def test_synth_spec_list_of_the_wrong_type_is_input_error(tmp_path, capsys, key,
+                                                         value, message):
+    spec = json.loads(default_spec(seed=3, n_plds=60).to_json())
+    spec[key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "c")]) == 1
+    assert f"input error: {path}: {message}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "c")

@@ -205,3 +205,16 @@ def test_non_utf8_row_is_skipped(tmp_path):
     g = build_from_file(str(path), RULES)
     assert (g.skipped_rows, g.ingested_rows) == (1, 2)
     assert g.plds == ["a.com", "b.com"] and g.page_counts.tolist() == [1, 2]
+
+
+def test_strict_skips_a_host_no_rule_matches():
+    rules = parse_psl("com\n")
+    edges = [("http://a.zz/x", "http://b.com/y"), ("http://c.com/1", "http://b.com/y")]
+    loose = build_pld_graph(edges, rules)
+    # without strict the host's last label is taken as its suffix
+    assert loose.plds == ["a.zz", "b.com", "c.com"]
+    assert (loose.ingested_rows, loose.skipped_rows) == (2, 0)
+    strict = build_pld_graph(edges, rules, strict=True)
+    assert strict.plds == ["b.com", "c.com"]
+    assert (strict.ingested_rows, strict.skipped_rows) == (1, 1)
+    assert _edges_by_pair(strict) == {(1, 0): 1}

@@ -12,8 +12,8 @@ from webmal.heavytail import (FAMILY_ORDER, CandidateSet, compare, estimate_xmin
 from webmal.heavytail import fitting
 from webmal.heavytail.families import _CF_SWITCH
 from webmal.heavytail.fitting import (ALPHA_HI, ALPHA_LO, BETA_HI, MU_HI, MU_LO,
-                                      SIGMA_HI, SIGMA_LO, _TAIL_FITS, _Boxes,
-                                      _TailStats, minimize)
+                                      SIGMA_HI, SIGMA_LO, _TAIL_FITS, _TailStats,
+                                      minimize)
 from webmal.oracles import oracle_tail_loglik
 from webmal.synthlab import sample
 
@@ -92,7 +92,8 @@ def test_cdf_matches_pdf_quadrature(family):
         assert float(dist.cdf(x)) == pytest.approx(area, abs=1e-8)
 
 
-@pytest.mark.parametrize("family", FAMILY_ORDER)
+# the truncated power law has no ppf: synthlab draws it by rejection
+@pytest.mark.parametrize("family", [f for f in FAMILY_ORDER if f != "trunc_power_law"])
 def test_ppf_roundtrip(family):
     dist = make_distribution(family, SIX[family], x_min=2.0)
     q = np.array([0.0, 0.1, 0.5, 0.9, 0.999])
@@ -213,24 +214,24 @@ def test_nelder_mead_takes_one_or_two_parameters():
 
 # each family's parameter box, as a predicate on the decoded parameters
 IN_BOX = {
-    "power_law": lambda p, bx: ALPHA_LO < p["alpha"] <= ALPHA_HI,
-    "trunc_power_law": lambda p, bx: (ALPHA_LO < p["alpha"] <= ALPHA_HI
-                                      and bx.lam_lo <= p["lambda"] <= bx.lam_hi),
-    "exponential": lambda p, bx: 0 < p["lambda"] <= bx.lam_hi,
-    "stretched_exponential": lambda p, bx: 0 < p["beta"] <= BETA_HI and p["lambda"] > 0,
-    "lognormal": lambda p, bx: MU_LO <= p["mu"] <= MU_HI and SIGMA_LO < p["sigma"] <= SIGMA_HI,
-    "lognormal_positive": lambda p, bx: (1e-12 <= p["mu"] <= MU_HI
+    "power_law": lambda p, st: ALPHA_LO < p["alpha"] <= ALPHA_HI,
+    "trunc_power_law": lambda p, st: (ALPHA_LO < p["alpha"] <= ALPHA_HI
+                                      and st.lam_lo <= p["lambda"] <= st.lam_hi),
+    "exponential": lambda p, st: 0 < p["lambda"] <= st.lam_hi,
+    "stretched_exponential": lambda p, st: 0 < p["beta"] <= BETA_HI and p["lambda"] > 0,
+    "lognormal": lambda p, st: MU_LO <= p["mu"] <= MU_HI and SIGMA_LO < p["sigma"] <= SIGMA_HI,
+    "lognormal_positive": lambda p, st: (1e-12 <= p["mu"] <= MU_HI
                                          and SIGMA_LO < p["sigma"] <= SIGMA_HI),
 }
 
 
-def _reference_objective(family, stats, boxes, t):
+def _reference_objective(family, stats, t):
     """-loglik of decode(t) through the dict-based oracle; inf off the box."""
     try:
-        params = _TAIL_FITS[family].decode(stats, boxes, t)
+        params = _TAIL_FITS[family].decode(stats, t)
     except (OverflowError, ValueError):
         return math.inf
-    if not IN_BOX[family](params, boxes):
+    if not IN_BOX[family](params, stats):
         return math.inf
     try:
         ll = oracle_tail_loglik(stats, family, params)
@@ -239,7 +240,7 @@ def _reference_objective(family, stats, boxes, t):
     return -ll if math.isfinite(ll) else math.inf
 
 
-def _t_grid(family, boxes):
+def _t_grid(family, stats):
     """Points inside and outside the box, and some whose decoding overflows."""
     if family in ("lognormal", "lognormal_positive"):
         mus = [-40.0, -30.0, -3.0, -1e-13, 0.0, 1e-12, 0.4, 1.7, 29.0, 30.0, 31.0]
@@ -247,11 +248,11 @@ def _t_grid(family, boxes):
     # the log of the first parameter, covering its box and 1e3 beyond
     first = list(np.linspace(-9.0, 2.0, 89)) + [math.log(3.0), 700.0, 800.0]
     if family == "trunc_power_law":
-        lams = np.linspace(math.log(boxes.lam_lo) - 2.0, math.log(boxes.lam_hi) + 2.0, 15)
+        lams = np.linspace(math.log(stats.lam_lo) - 2.0, math.log(stats.lam_hi) + 2.0, 15)
         return [[t0, t1] for t0 in first for t1 in lams] + [[0.0, 800.0]]
     if family == "exponential":
-        return [[v] for v in np.linspace(math.log(boxes.lam_lo) - 2.0,
-                                         math.log(boxes.lam_hi) + 2.0, 40)] + [[800.0]]
+        return [[v] for v in np.linspace(math.log(stats.lam_lo) - 2.0,
+                                         math.log(stats.lam_hi) + 2.0, 40)] + [[800.0]]
     return [[v] for v in first]
 
 
@@ -262,12 +263,11 @@ def _t_grid(family, boxes):
 ], ids=["continuous", "integer"])
 def test_family_objective_is_the_oracle_loglik_bit_for_bit(family, tail, x_min):
     stats = _TailStats(np.sort(tail[tail >= x_min]), x_min)
-    boxes = _Boxes(stats)
-    objective = _TAIL_FITS[family].objective(stats, boxes)
+    objective = _TAIL_FITS[family].objective(stats)
     finite = 0
     with np.errstate(over="ignore"):
-        for t in _t_grid(family, boxes):
-            got, want = objective(t), _reference_objective(family, stats, boxes, t)
+        for t in _t_grid(family, stats):
+            got, want = objective(t), _reference_objective(family, stats, t)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (t, got, want)
             finite += math.isfinite(got)
     assert finite >= 10
@@ -521,10 +521,10 @@ def test_compare_antisymmetry():
     from webmal.heavytail import FitResult
     pf, lf = mle_fit(data, "power_law", 1.0)
     pg, lg = mle_fit(data, "stretched_exponential", 1.0)
-    fit_f = FitResult("power_law", pf, 1.0, 0.0, lf, len(data))
-    fit_g = FitResult("stretched_exponential", pg, 1.0, 0.0, lg, len(data))
-    ab = compare(data, fit_f, "stretched_exponential")
-    ba = compare(data, fit_g, "power_law")
+    fit_pl = FitResult("power_law", pf, 1.0, 0.0, lf, len(data))
+    fit_se = FitResult("stretched_exponential", pg, 1.0, 0.0, lg, len(data))
+    ab = compare(data, fit_pl, "stretched_exponential")
+    ba = compare(data, fit_se, "power_law")
     assert ab.r == pytest.approx(-ba.r, rel=1e-9, abs=1e-9)
     assert ab.p == pytest.approx(ba.p, rel=1e-9, abs=1e-12)
 

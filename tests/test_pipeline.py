@@ -77,6 +77,24 @@ def test_rerun_skips_everything(tmp_path, corpus_dir):
     assert file_sha256(os.path.join(cfg.out_dir, "manifest.json")) == manifest_before
 
 
+def test_manifest_with_the_old_whole_config_hash_is_resumed(tmp_path, corpus_dir):
+    # manifests used to carry a top-level hash of the whole config; the stage
+    # entries alone decide what reruns, and the worker count is in none of them
+    cfg = make_config(corpus_dir, str(tmp_path / "run"))
+    run_pipeline(cfg)
+    manifest_path = os.path.join(cfg.out_dir, "manifest.json")
+    before = file_sha256(manifest_path)
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["config_hash"] = "0" * 64
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    res = run_pipeline(make_config(corpus_dir, cfg.out_dir, workers=2))
+    assert res.executed == []
+    assert res.skipped == list(STAGE_NAMES)
+    assert file_sha256(manifest_path) == before
+
+
 def test_interrupt_keeps_finished_stages(tmp_path, corpus_dir, monkeypatch):
     from dataclasses import replace
 
@@ -296,14 +314,6 @@ def test_config_validation(tmp_path, corpus_dir):
                     fit_features=("pagerank",)).validate()
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"edges": "e", "bogus_key": 1})
-
-
-def test_config_hash_ignores_paths_and_workers(tmp_path, corpus_dir):
-    a = make_config(corpus_dir, str(tmp_path / "a"))
-    b = make_config(corpus_dir, str(tmp_path / "b"), workers=4)
-    assert a.config_hash() == b.config_hash()
-    c = make_config(corpus_dir, str(tmp_path / "c"), tau=0.2)
-    assert c.config_hash() != a.config_hash()
 
 
 def test_config_from_json_with_overrides(tmp_path, corpus_dir):
