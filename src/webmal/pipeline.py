@@ -113,6 +113,8 @@ class RunConfig:
                 raise ConfigError(f"input path for {name!r} does not exist: {path!r}")
         if self.alexa is not None and not os.path.exists(self.alexa):
             raise ConfigError(f"alexa path does not exist: {self.alexa!r}")
+        if not self.out_dir:
+            raise ConfigError("out_dir must be a non-empty path")
         if not (0.0 <= self.tau < 1.0):
             raise ConfigError("tau must be in [0,1)")
         if not (0.0 < self.damping < 1.0):

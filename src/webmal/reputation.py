@@ -5,19 +5,27 @@ its detection ratio exceeds a threshold tau; a PLD is malicious when it hosts
 at least one malicious file. The PLD ratio score averages per-file detection
 ratios over all file occurrences (copies count), and the file-diversity
 entropy summarizes how occurrences spread over distinct files.
+
+pld_dichotomy, pld_ratio_score and file_diversity_entropy define the scores
+one PLD at a time. score_plds computes them for every PLD at once from
+observation rows on integer ids, sorted by (PLD, file hash): each per-PLD sum
+is a bincount, which adds a PLD's rows one at a time in that order, the
+order of the scalar loops, so the results are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from itertools import repeat
+from operator import itemgetter, ne
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (EmptyProfile, EmptyVector, InputError, InvalidParams,
                      MissingVerdict)
+from .mdn import FileSets
 from .tables import read_table, where, write_table
 
 DEFAULT_ENGINES = 56
@@ -47,10 +55,6 @@ class VerdictMatrix:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def vector(self, file_hash: str) -> np.ndarray:
-        mask = self._mask(file_hash)
-        return np.array([(mask >> k) & 1 for k in range(self.d)], dtype=np.int8)
-
     def detections(self, file_hash: str) -> int:
         return self._mask(file_hash).bit_count()
 
@@ -65,7 +69,11 @@ class VerdictMatrix:
         try:
             return self.masks[file_hash]
         except KeyError:
-            raise MissingVerdict(f"no verdict row for file {file_hash!r}") from None
+            raise _missing(file_hash) from None
+
+
+def _missing(file_hash: str) -> MissingVerdict:
+    return MissingVerdict(f"no verdict row for file {file_hash!r}")
 
 
 def _check_tau(tau: float) -> None:
@@ -88,7 +96,7 @@ def file_score_ratio(verdicts: Sequence[int]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# PLD profiles
+# PLD profiles: the scores of one PLD
 
 @dataclass(frozen=True)
 class PldFileProfile:
@@ -143,8 +151,54 @@ def file_diversity_entropy(profile: PldFileProfile) -> float:
     return h
 
 
-@dataclass(frozen=True)
-class PldReputation:
+# ---------------------------------------------------------------------------
+# observation rows: the scores of every PLD
+
+@dataclass(frozen=True, eq=False)
+class Observations:
+    """The files each PLD hosts, one (PLD, file) row each in (PLD, hash)
+    order, and each row's occurrence count."""
+
+    sets: FileSets
+    count: np.ndarray
+
+    @classmethod
+    def from_rows(cls, plds: Sequence[str], hashes: Sequence[str],
+                  counts: Sequence[int]) -> Observations:
+        """Rows of one (pld, hash) pair accumulate."""
+        sets, row = FileSets.from_rows(plds, hashes)
+        count = np.zeros(len(sets.pld), dtype=np.int64)
+        np.add.at(count, row, np.asarray(counts, dtype=np.int64))
+        return cls(sets, count)
+
+
+def _observations(profiles: Observations | Iterable[PldFileProfile]) -> Observations:
+    """Observations as they are, or the rows of a list of profiles."""
+    if isinstance(profiles, Observations):
+        return profiles
+    profiles = list(profiles)
+    empty = min((p.pld for p in profiles if p.total < 1), default=None)
+    if empty is not None:
+        raise EmptyProfile(f"PLD {empty!r} has no file occurrences")
+    return Observations.from_rows([p.pld for p in profiles for _ in p.files],
+                                  [h for p in profiles for h in p.files],
+                                  [k for p in profiles for k in p.files.values()])
+
+
+def _ratios(sets: FileSets, verdicts: VerdictMatrix) -> np.ndarray:
+    """The detection ratio of each row's file; a file with no verdict row,
+    the first in row order, raises MissingVerdict."""
+    masks = verdicts.masks
+    try:
+        detections = np.fromiter(map(int.bit_count, map(masks.__getitem__, sets.files)),
+                                 np.int64, len(sets.files))
+    except KeyError:
+        known = np.fromiter(map(masks.__contains__, sets.files), bool, len(sets.files))
+        raise _missing(sets.files[sets.file[known[sets.file].argmin()]]) from None
+    return (detections / verdicts.d)[sets.file]
+
+
+class PldReputation(NamedTuple):
     pld: str
     dichotomy: str              # "clean" | "malicious"
     r_bar: float
@@ -153,51 +207,91 @@ class PldReputation:
     entropy: float
 
 
-def score_plds(profiles: Iterable[PldFileProfile], verdicts: VerdictMatrix,
-               tau: float = 0.0) -> list[PldReputation]:
-    """Score every profile; rows come back sorted by PLD name."""
-    rows = []
-    for prof in sorted(profiles, key=lambda p: p.pld):
-        rows.append(PldReputation(
-            pld=prof.pld,
-            dichotomy=pld_dichotomy(prof, verdicts, tau),
-            r_bar=pld_ratio_score(prof, verdicts),
-            n_unique=prof.n_unique,
-            total=prof.total,
-            entropy=file_diversity_entropy(prof),
-        ))
-    return rows
+_DICHOTOMY = ("clean", "malicious")
+
+
+def score_plds(observations: Observations | Iterable[PldFileProfile],
+               verdicts: VerdictMatrix, tau: float = 0.0) -> list[PldReputation]:
+    """Score every PLD; rows come back sorted by PLD name, each equal to
+    pld_dichotomy, pld_ratio_score and file_diversity_entropy of its PLD."""
+    _check_tau(tau)
+    obs = _observations(observations)
+    sets, count = obs.sets, obs.count
+    ratio = _ratios(sets, verdicts)
+    n = len(sets.plds)
+    n_unique = np.diff(sets.indptr)
+    total = np.add.reduceat(count, sets.indptr[:-1])
+    r_bar = np.bincount(sets.pld, weights=count * ratio, minlength=n) / total
+    p = count / total[sets.pld]
+    log_p = np.fromiter(map(math.log2, p.tolist()), np.float64, len(p))
+    # -sum is the bits of h -= term; + 0.0 turns a single file's -0.0 into 0.0
+    entropy = -np.bincount(sets.pld, weights=p * log_p, minlength=n) + 0.0
+    malicious = np.zeros(n, dtype=bool)
+    malicious[sets.pld[ratio > tau]] = True
+    return list(map(PldReputation._make, zip(
+        sets.plds, map(_DICHOTOMY.__getitem__, malicious.tolist()), r_bar.tolist(),
+        n_unique.tolist(), total.tolist(), entropy.tolist())))
+
+
+def malicious_file_sets(observations: Observations | Iterable[PldFileProfile],
+                        verdicts: VerdictMatrix, tau: float = 0.0) -> FileSets:
+    """Per-PLD sets of hosted malicious files; clean PLDs are dropped.
+
+    Feeds the co-occurrence builder, which expects non-empty sets only.
+    """
+    _check_tau(tau)
+    obs = _observations(observations)
+    return obs.sets.subset(_ratios(obs.sets, verdicts) > tau)
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
 def read_verdicts(path: str) -> VerdictMatrix:
-    """Load a verdict TSV: file_hash<TAB>d<TAB>detections_bitmask_hex."""
+    """Load a verdict TSV: file_hash<TAB>d<TAB>detections_bitmask_hex.
+
+    A malformed row is found by array masks over all rows; the first one
+    raises InputError with its line number.
+    """
     hashes, ds, hexes = read_table(path, None, (str, int, str))
     if not hashes:
         raise InputError(f"{path}: no verdict rows")
     d = int(ds[0])
-    masks: dict[str, int] = {}
-    for i, (file_hash, row_d, mask_hex) in enumerate(zip(hashes, ds.tolist(), hexes)):
-        try:
-            mask = int(mask_hex, 16)
-        except ValueError:
-            raise InputError(f"{where(path, None, i)}: not a hexadecimal bitmask: "
-                             f"{mask_hex.strip()!r}") from None
-        if row_d < 1:
-            raise EmptyVector(f"{where(path, None, i)}: d must be >= 1")
-        if row_d != d:
-            raise InputError(f"{where(path, None, i)}: d={row_d} differs from "
-                             f"corpus d={d}")
-        if mask < 0 or mask.bit_length() > d:
-            raise InputError(f"{where(path, None, i)}: bitmask has bits beyond "
-                             f"engine {d - 1}")
-        if masks.get(file_hash, mask) != mask:
-            raise InputError(f"{where(path, None, i)}: conflicting rows for "
-                             f"{file_hash!r}")
-        masks[file_hash] = mask
-    return VerdictMatrix(d=d, masks=masks)
+    try:
+        masks = list(map(int, hexes, repeat(16)))
+    except ValueError:
+        # the rows before the first that is not hexadecimal are checked below
+        masks = []
+        for h in hexes:
+            try:
+                masks.append(int(h, 16))
+            except ValueError:
+                break
+    m = len(masks)
+    hashes, ds = hashes[:m], ds[:m]
+    beyond = np.fromiter(map(int.bit_length, masks), np.int64, m) > d
+    if min(masks, default=0) < 0:
+        beyond |= np.fromiter((mask < 0 for mask in masks), bool, m)
+    table = dict(zip(hashes, masks))
+    bad = (ds < 1) | (ds != d) | beyond
+    if len(table) < m:
+        # a repeated hash must repeat the mask of its first row
+        first = dict(zip(reversed(hashes), reversed(masks)))
+        bad |= np.fromiter(map(ne, map(first.__getitem__, hashes), masks), bool, m)
+    if bad.any():
+        i = int(bad.argmax())
+        at = where(path, None, i)
+        if ds[i] < 1:
+            raise EmptyVector(f"{at}: d must be >= 1")
+        if ds[i] != d:
+            raise InputError(f"{at}: d={int(ds[i])} differs from corpus d={d}")
+        if beyond[i]:
+            raise InputError(f"{at}: bitmask has bits beyond engine {d - 1}")
+        raise InputError(f"{at}: conflicting rows for {hashes[i]!r}")
+    if m < len(hexes):
+        raise InputError(f"{where(path, None, m)}: not a hexadecimal bitmask: "
+                         f"{hexes[m].strip()!r}")
+    return VerdictMatrix(d=d, masks=table)
 
 
 def write_verdicts(verdicts: VerdictMatrix, path: str) -> None:
@@ -206,17 +300,13 @@ def write_verdicts(verdicts: VerdictMatrix, path: str) -> None:
                              [format(verdicts.masks[h], "x") for h in hashes]))
 
 
-def read_observations(path: str) -> list[PldFileProfile]:
+def read_observations(path: str) -> Observations:
     """Load observation TSV: pld<TAB>file_hash<TAB>count (rows accumulate)."""
     plds, hashes, counts = read_table(path, None, (str, str, int))
     low = counts < 1
     if low.any():
         raise InputError(f"{where(path, None, int(low.argmax()))}: count must be >= 1")
-    grouped: dict[str, dict[str, int]] = {}
-    for pld, file_hash, count in zip(plds, hashes, counts.tolist()):
-        bucket = grouped.setdefault(pld, {})
-        bucket[file_hash] = bucket.get(file_hash, 0) + count
-    return [PldFileProfile(pld=pld, files=grouped[pld]) for pld in sorted(grouped)]
+    return Observations.from_rows(plds, hashes, counts)
 
 
 def write_observations(profiles: Iterable[PldFileProfile], path: str) -> None:
@@ -230,36 +320,19 @@ REPUTATION_HEADER = ("pld", "dichotomy", "r_bar", "n_unique", "total", "entropy"
 
 def write_reputation(rows: Iterable[PldReputation], path: str) -> None:
     """Write score rows: pld, dichotomy, r_bar, N, TF, H."""
-    rows = list(rows)
+    pld, dichotomy, r_bar, n_unique, total, entropy = list(zip(*rows)) or [()] * 6
     write_table(path, REPUTATION_HEADER, (
-        [r.pld for r in rows], [r.dichotomy for r in rows],
-        [float(r.r_bar) for r in rows], [r.n_unique for r in rows],
-        [r.total for r in rows], [float(r.entropy) for r in rows]))
+        pld, dichotomy, np.array(r_bar, dtype=np.float64), n_unique, total,
+        np.array(entropy, dtype=np.float64)))
 
 
 def read_reputation(path: str) -> list[PldReputation]:
     plds, dichotomy, r_bar, n_unique, total, entropy = read_table(
         path, REPUTATION_HEADER, (str, str, float, int, int, float))
     for i, label in enumerate(dichotomy):
-        if label not in ("clean", "malicious"):
+        if label not in _DICHOTOMY:
             raise InputError(f"{where(path, REPUTATION_HEADER, i)}: bad dichotomy "
                              f"{label!r}")
-    return [PldReputation(*row) for row in zip(
+    return list(map(PldReputation._make, zip(
         plds, dichotomy, r_bar.tolist(), n_unique.tolist(), total.tolist(),
-        entropy.tolist())]
-
-
-def malicious_file_sets(profiles: Iterable[PldFileProfile],
-                        verdicts: VerdictMatrix,
-                        tau: float = 0.0) -> dict[str, set[str]]:
-    """Per-PLD sets of hosted malicious files; clean PLDs are dropped.
-
-    Feeds the co-occurrence builder, which expects non-empty sets only.
-    """
-    _check_tau(tau)
-    out: dict[str, set[str]] = {}
-    for prof in profiles:
-        bad = {h for h in prof.files if verdicts.binary(h, tau)}
-        if bad:
-            out[prof.pld] = bad
-    return out
+        entropy.tolist())))

@@ -126,7 +126,13 @@ _NO_VALUE = object()
 def _cells(column: Iterable) -> Iterator[str]:
     """A column's text: an array's Python scalars, each through str, which
     for a float is its repr. The formatter is chosen once, by the first
-    value: a column of str is left as it is, and must hold only str."""
+    value: a column of str is left as it is, and must hold only str. A
+    float64 array is formatted one distinct bit pattern at a time, so a
+    repeated value costs an index, not a repr."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        bits, which = np.unique(column.view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        return iter(text[which].tolist())
     values = iter(column.tolist() if isinstance(column, np.ndarray) else column)
     first = next(values, _NO_VALUE)
     if first is _NO_VALUE:

@@ -507,6 +507,52 @@ def test_config_value_of_the_wrong_type_is_config_error(tmp_path, corpus, capsys
     assert not os.path.exists(tmp_path / "run")
 
 
+def test_empty_out_dir_is_config_error(tmp_path, corpus, capsys):
+    cfg = {name: os.path.join(corpus, f) for name, f in (
+        ("edges", "edges.tsv"), ("psl", "psl.dat"), ("verdicts", "verdicts.tsv"),
+        ("observations", "observations.tsv"))}
+    cfg["out_dir"] = ""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 3
+    assert "config error: out_dir must be a non-empty path" in capsys.readouterr().err
+
+
+def _score_args(tmp_path, command):
+    return {"score": ["--out", str(tmp_path / "r.tsv")],
+            "cooccur": ["--out-edges", str(tmp_path / "e.tsv"),
+                        "--out-sets", str(tmp_path / "s.tsv")]}[command]
+
+
+@pytest.mark.parametrize("command", ["score", "cooccur"])
+def test_observed_file_with_no_verdict_is_input_error(tmp_path, capsys, command):
+    verdicts = tmp_path / "verdicts.tsv"
+    verdicts.write_text("f1\t8\t1\nf3\t8\t0\n")
+    observations = tmp_path / "observations.tsv"
+    observations.write_text("a.com\tf1\t1\nb.com\tf2\t2\nb.com\tf3\t1\n")
+    assert main([command, "--verdicts", str(verdicts), "--observations",
+                 str(observations)] + _score_args(tmp_path, command)) == 1
+    assert "input error: no verdict row for file 'f2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["score", "cooccur"])
+def test_tau_out_of_range_is_input_error(tmp_path, corpus, capsys, command):
+    assert main([command, "--verdicts", os.path.join(corpus, "verdicts.tsv"),
+                 "--observations", os.path.join(corpus, "observations.tsv"),
+                 "--tau", "1.0"] + _score_args(tmp_path, command)) == 1
+    assert "input error: tau must be in [0,1), got 1.0" in capsys.readouterr().err
+
+
+def test_verdict_row_with_another_d_names_its_line(tmp_path, corpus, capsys):
+    bad = tmp_path / "verdicts.tsv"
+    bad.write_text("h1\t56\tff\n\nh2\t40\tff\n")
+    assert main(["score", "--verdicts", str(bad), "--observations",
+                 os.path.join(corpus, "observations.tsv"),
+                 "--out", str(tmp_path / "r.tsv")]) == 1
+    assert f"input error: {bad}:3: d=40 differs from corpus d=56" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("components", [1.5], "components must be a list of ints, not [1.5]"),
     ("components", 3, "components must be a list of ints, not 3"),

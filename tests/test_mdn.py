@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from webmal.errors import EmptyInput
-from webmal.mdn import (CooccurrenceGraph, build_cooccurrence, extract_mdns,
+from webmal.mdn import (FileSets, build_cooccurrence, extract_mdns,
                         mdn_components, read_cooccurrence, write_cooccurrence)
 from webmal.oracles import oracle_jaccard, oracle_mdns
 from webmal.reputation import malicious_file_sets
@@ -105,7 +105,8 @@ def test_two_disjoint_triangles():
 
 
 def test_empty_graph_empty_list():
-    g = CooccurrenceGraph(nodes=(), edges={}, file_sets={})
+    g = build_cooccurrence({})
+    assert g.nodes == () and g.edges == {} and g.file_sets == {}
     assert extract_mdns(g) == []
 
 
@@ -190,6 +191,30 @@ def test_mdns_match_edge_scan_oracle_on_planted_corpus():
     multi = [m for m in mdn_components(g) if m["size"] > 1]
     assert [m["size"] for m in multi] == [12, 8, 8, 5, 3, 3]
     _assert_matches_edge_scan(g)
+
+
+def test_mdns_match_edge_scan_oracle_on_a_planted_corpus_of_many_mdns():
+    sizes = (6,) * 8 + (4,) * 8 + (2,) * 8
+    c = plant_crawl(default_spec(seed=41, n_plds=900, malicious_fraction=0.15,
+                                 components=sizes))
+    g = build_cooccurrence(malicious_file_sets(c.profiles, c.verdicts, tau=0.0))
+    comps = mdn_components(g)
+    assert [m["size"] for m in comps if m["size"] > 1] == sorted(sizes, reverse=True)
+    assert sum(m["size"] == 1 for m in comps) == c.spec.n_malicious - sum(sizes)
+    assert c.spec.n_malicious > sum(sizes)
+    _assert_matches_edge_scan(g)
+
+
+def test_file_sets_are_a_mapping_of_their_rows():
+    sets = FileSets.from_rows(["b.com", "a.com", "b.com", "b.com"],
+                              ["f2", "f1", "f1", "f2"])[0]
+    assert list(sets) == ["a.com", "b.com"]
+    assert sets == {"a.com": {"f1"}, "b.com": {"f1", "f2"}}
+    assert sets.pld.tolist() == [0, 1, 1] and sets.file.tolist() == [0, 0, 1]
+    with pytest.raises(KeyError):
+        sets["c.com"]
+    assert sets.subset(np.array([False, True, False])) == {"b.com": {"f1"}}
+    assert build_cooccurrence(sets) == build_cooccurrence(dict(sets))
 
 
 # ---------------------------------------------------------------------------

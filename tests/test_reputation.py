@@ -16,6 +16,7 @@ from webmal.reputation import (PldFileProfile, VerdictMatrix,
                                read_observations, read_reputation,
                                read_verdicts, score_plds, write_observations,
                                write_reputation, write_verdicts)
+from webmal.synthlab import default_spec, plant_crawl
 
 
 def matrix(d, **masks):
@@ -266,6 +267,74 @@ def test_malicious_file_sets_drops_clean_plds():
 
 
 # ---------------------------------------------------------------------------
+# score_plds against the scalar definitions, bit for bit
+
+def _assert_rows_are_the_scalar_scores(profs, m, tau=0.0):
+    rows = score_plds(profs, m, tau=tau)
+    assert [r.pld for r in rows] == sorted(p.pld for p in profs)
+    for row, prof in zip(rows, sorted(profs, key=lambda p: p.pld)):
+        want = (prof.pld, pld_dichotomy(prof, m, tau), pld_ratio_score(prof, m),
+                prof.n_unique, prof.total, file_diversity_entropy(prof))
+        assert row == want
+        # == does not tell 0.0 from -0.0; repr does
+        assert repr(row.r_bar) == repr(want[2])
+        assert repr(row.entropy) == repr(want[5])
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.1])
+def test_score_plds_is_the_scalar_scores_on_a_planted_corpus(tau):
+    c = plant_crawl(default_spec(seed=31, n_plds=800, malicious_fraction=0.2,
+                                 components=(6, 4, 4, 3)))
+    _assert_rows_are_the_scalar_scores(c.profiles, c.verdicts, tau)
+
+
+def test_score_plds_single_file_entropy_is_positive_zero():
+    rows = score_plds([profile("x.com", a=5)], matrix(8, a=0x3))
+    assert math.copysign(1.0, rows[0].entropy) == 1.0
+    _assert_rows_are_the_scalar_scores([profile("x.com", a=5)], matrix(8, a=0x3))
+
+
+def test_score_plds_uses_the_scalar_log2():
+    # p = 28/31 is one of the fractions where np.log2 and math.log2 can
+    # differ in the last bit; the scalar definition uses math.log2
+    profs = [profile("x.com", a=28, b=3), profile("y.com", a=43, b=7)]
+    _assert_rows_are_the_scalar_scores(profs, matrix(56, a=0x1, b=0x0))
+
+
+def test_score_plds_accumulates_repeated_rows(tmp_path):
+    path = tmp_path / "obs.tsv"
+    path.write_text("x.com\tb\t2\nx.com\ta\t1\nx.com\tb\t5\ny.com\ta\t3\n")
+    m = matrix(4, a=0x1, b=0x7)
+    got = score_plds(read_observations(str(path)), m)
+    assert got == score_plds([profile("x.com", a=1, b=7), profile("y.com", a=3)], m)
+    _assert_rows_are_the_scalar_scores(
+        [profile("x.com", a=1, b=7), profile("y.com", a=3)], m)
+
+
+def test_score_plds_with_80_engines(tmp_path):
+    m = matrix(80, a=(1 << 79) | 1, b=(1 << 80) - 1, c=0)
+    profs = [profile("x.com", a=2, c=1), profile("y.com", b=1, c=4)]
+    _assert_rows_are_the_scalar_scores(profs, m)
+    path = str(tmp_path / "v.tsv")
+    write_verdicts(m, path)
+    back = read_verdicts(path)
+    assert back.d == 80 and dict(back.masks) == dict(m.masks)
+    assert score_plds(profs, back) == score_plds(profs, m)
+
+
+def test_score_plds_names_the_file_with_no_verdict():
+    with pytest.raises(MissingVerdict, match="no verdict row for file 'zz'"):
+        score_plds([profile("x.com", a=1), profile("y.com", zz=1)], matrix(4, a=1))
+    with pytest.raises(MissingVerdict, match="no verdict row for file 'zz'"):
+        malicious_file_sets([profile("y.com", zz=1)], matrix(4, a=1))
+
+
+def test_score_plds_rejects_an_empty_profile():
+    with pytest.raises(EmptyProfile):
+        score_plds([profile("x.com", a=1), profile("y.com")], matrix(4, a=1))
+
+
+# ---------------------------------------------------------------------------
 # file formats
 
 def test_verdict_roundtrip(tmp_path):
@@ -297,6 +366,28 @@ def test_verdict_conflicting_duplicate_rejected(tmp_path):
         read_verdicts(str(path))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("aa\t8\t1f\nbb\t8\tzz\n", "2: not a hexadecimal bitmask: 'zz'"),
+    ("aa\t8\t1f\nbb\t4\tzz\n", "2: not a hexadecimal bitmask: 'zz'"),
+    ("aa\t8\t1f\nbb\t4\t0\ncc\t8\tzz\n", "2: d=4 differs from corpus d=8"),
+    ("aa\t8\t1\nbb\t8\tq\ncc\t9\t0\n", "2: not a hexadecimal bitmask: 'q'"),
+    ("aa\t8\t1f\n\nbb\t8\t0\ncc\t4\t0\n", "4: d=4 differs from corpus d=8"),
+    ("aa\t8\t1f\nbb\t8\t100\n", "2: bitmask has bits beyond engine 7"),
+    ("aa\t8\t1f\nbb\t8\t-1\n", "2: bitmask has bits beyond engine 7"),
+    ("aa\t8\t1\nbb\t8\t2\naa\t8\t1\naa\t8\t3\nbb\t8\t1\n",
+     "4: conflicting rows for 'aa'"),
+    ("aa\t0\t0\n", "1: d must be >= 1"),
+    ("aa\t8\t0\nbb\t0\t0\n", "2: d must be >= 1"),
+], ids=["hex", "hex-first-in-its-row", "d-before-hex", "hex-before-d", "d-after-blank", "bits",
+        "negative", "conflict", "d-zero-first", "d-zero"])
+def test_verdict_first_bad_row_names_its_line(tmp_path, text, message):
+    path = tmp_path / "v.tsv"
+    path.write_text(text)
+    with pytest.raises(InputError) as exc:
+        read_verdicts(str(path))
+    assert str(exc.value) == f"{path}:{message}"
+
+
 def test_verdict_empty_file_rejected(tmp_path):
     path = tmp_path / "v.tsv"
     path.write_text("")
@@ -307,12 +398,13 @@ def test_verdict_empty_file_rejected(tmp_path):
 def test_observations_roundtrip_and_accumulation(tmp_path):
     path = tmp_path / "obs.tsv"
     path.write_text("b.com\tf1\t2\na.com\tf2\t1\nb.com\tf1\t3\n")
-    profs = read_observations(str(path))
-    assert [p.pld for p in profs] == ["a.com", "b.com"]
-    assert profs[1].files == {"f1": 5}
+    obs = read_observations(str(path))
+    assert obs.sets == {"a.com": {"f2"}, "b.com": {"f1"}}
+    assert obs.count.tolist() == [1, 5]
     out = str(tmp_path / "obs2.tsv")
-    write_observations(profs, out)
-    assert read_observations(out) == profs
+    write_observations([profile("b.com", f1=5), profile("a.com", f2=1)], out)
+    back = read_observations(out)
+    assert back.sets == obs.sets and back.count.tolist() == [1, 5]
 
 
 def test_observations_bad_count_rejected(tmp_path):
