@@ -7,9 +7,8 @@ node keeps the count of distinct page URLs seen for it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,70 +51,127 @@ class PldGraph:
                              shape=(self.n_nodes, self.n_nodes))
 
 
-def build_pld_graph(page_edges: Iterable[tuple[str, str]], rules: SuffixRules,
+def build_pld_graph(page_edges: Iterable[Sequence[str]], rules: SuffixRules,
                     strict: bool = False) -> PldGraph:
     """Aggregate an iterable of (src_url, dst_url) pairs into a PLD graph.
 
-    Each URL of an ingested row is resolved to its PLD once, parsing the
-    host and consulting the host cache only on a miss. Rows whose endpoints
-    yield no PLD are counted in skipped_rows, not fatal; with strict, a host
-    that no suffix rule matches is one of those.
+    Each URL of an ingested row is resolved once to an integer PLD id,
+    given in first-seen order. An http(s) URL whose host part, cut out by one split, is a known
+    clean host skips the host parse. A host is clean once
+    _host_of("http://" + host) gives it back unchanged, so a host part with
+    user info, a port, a query, a fragment, brackets, upper case, outer dots
+    or outer whitespace always goes through _host_of. pld_of_host runs once
+    per distinct host. Edge counts are keyed by (src id << 32) | dst id, and
+    the ids are remapped to sorted-name order at the end.
+
+    Rows whose endpoints yield no PLD are counted in skipped_rows, not
+    fatal; with strict, a host that no suffix rule matches is one of those.
+    A URL seen only in skipped rows is no page, and a PLD with no page drops
+    out.
     """
-    url_pld: dict[str, str] = {}
-    host_pld: dict[str, str] = {}
-    edges: dict[tuple[str, str], int] = {}
+    pld_ids: dict[str, int] = {}    # PLD name -> first-seen id
+    host_ids: dict[str, int] = {}   # host -> PLD id, -1 when it has none
+    part_ids: dict[str, int] = {}   # clean host part -> PLD id, or _UNCLEAN
+    url_ids: dict[str, int] = {}    # page URL -> PLD id
+    edges: dict[int, int] = {}
     skipped = 0
 
-    def resolve(url: str) -> str:
-        pld = url_pld.get(url)
-        if pld is None:
-            host = _host_of(url)
-            pld = host_pld.get(host)
-            if pld is None:
+    def host_id(host: str) -> int:
+        i = host_ids.get(host)
+        if i is None:
+            try:
                 pld = pld_of_host(host, rules, strict=strict)
-                host_pld[host] = pld
-        return pld
+            except InputError:
+                i = -1
+            else:
+                i = pld_ids.setdefault(pld, len(pld_ids))
+            host_ids[host] = i
+        return i
 
-    for src_url, dst_url in page_edges:
+    def resolve(url: str) -> int:
+        """PLD id of a URL not in url_ids, -1 when it yields none."""
+        part = None
+        if url.startswith(("http://", "https://")):
+            part = url.split("/", 3)[2]
+            i = part_ids.get(part)
+            if i is not None:
+                if i != _UNCLEAN:
+                    return i
+                part = None
         try:
-            s = resolve(src_url)
-            d = s if dst_url == src_url else resolve(dst_url)
+            host = _host_of(url)
         except InputError:
-            skipped += 1
-            continue
+            host, i = None, -1
+        else:
+            i = host_id(host)
+        if part is not None:
+            part_ids[part] = i if host == part and _is_clean(part, url) else _UNCLEAN
+        return i
+
+    get = url_ids.get
+    for src_url, dst_url in page_edges:
+        s = get(src_url)
+        if s is None:
+            s = resolve(src_url)
+            if s < 0:
+                skipped += 1
+                continue
+        d = get(dst_url)
+        if d is None:
+            d = s if dst_url == src_url else resolve(dst_url)
+            if d < 0:
+                skipped += 1
+                continue
         # stored once both ends resolve: a URL seen only in skipped rows is no page
-        url_pld[src_url] = s
-        url_pld[dst_url] = d
-        key = (s, d)
+        url_ids[src_url] = s
+        url_ids[dst_url] = d
+        key = s << 32 | d
         edges[key] = edges.get(key, 0) + 1
     if not edges:
         raise EmptyInput("no valid page edges ingested")
-    pages = Counter(url_pld.values())
-    plds = sorted(pages)
-    index = {p: i for i, p in enumerate(plds)}
-    page_counts = np.fromiter(map(pages.__getitem__, plds), np.int64, len(plds))
-    src = np.fromiter((index[s] for s, _ in edges), np.int64, len(edges))
-    dst = np.fromiter((index[d] for _, d in edges), np.int64, len(edges))
+    ids = np.fromiter(url_ids.values(), np.int64, len(url_ids))
+    url_ids.clear()   # frees the URL strings before the arrays below are built
+    counts = np.bincount(ids, minlength=len(pld_ids))
+    plds = sorted(p for p, i in pld_ids.items() if counts[i])
+    first_seen = np.fromiter(map(pld_ids.__getitem__, plds), np.int64, len(plds))
+    rank = np.empty(len(pld_ids), np.int64)
+    rank[first_seen] = np.arange(len(plds))
+    keys = np.fromiter(edges, np.int64, len(edges))
+    src = rank[keys >> 32]
+    dst = rank[keys & 0xFFFFFFFF]
     weight = np.fromiter(edges.values(), np.int64, len(edges))
     order = np.lexsort((dst, src))
-    return PldGraph(plds, page_counts, src[order], dst[order], weight[order],
+    return PldGraph(plds, counts[first_seen], src[order], dst[order], weight[order],
                     skipped_rows=skipped, ingested_rows=int(weight.sum()))
 
 
-def iter_edge_file(path: str) -> Iterator[tuple[str, str]]:
-    """Yield URL pairs from a TSV file (src<TAB>dst), gzip-aware. A malformed
-    row, a line that is not UTF-8 text among them, yields ("", ""), which
-    build_pld_graph counts as skipped."""
+_UNCLEAN = -2   # a host part that must go through _host_of
+
+
+def _is_clean(host: str, url: str) -> bool:
+    """True when _host_of gives host back from "http://" + host; url is the
+    URL it was cut from, which is not parsed a second time."""
+    probe = "http://" + host
+    if probe == url:
+        return True
+    try:
+        return _host_of(probe) == host
+    except InputError:
+        return False
+
+
+def iter_edge_file(path: str) -> Iterator[Sequence[str]]:
+    """Yield [src, dst] URL pairs from a TSV file (src<TAB>dst), gzip-aware,
+    one line at a time. A malformed row, a line that is not UTF-8 text among
+    them, yields ("", ""), which build_pld_graph counts as skipped; a blank
+    line yields nothing."""
     with open_text(path, errors="surrogateescape") as fh:
         for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not (line.isascii() or _is_utf8(line)):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) == 2 and (line.isascii() or _is_utf8(line)):
+                yield parts
+            elif parts != [""]:
                 yield ("", "")  # malformed row: endpoints fail extraction
-                continue
-            yield (parts[0], parts[1])
 
 
 def _is_utf8(line: str) -> bool:

@@ -43,6 +43,7 @@ from .families import (FAMILIES, FAMILY_ORDER, TailDistribution,
                        log_upper_gamma, make_distribution)
 
 DEFAULT_RESTARTS = 8
+MIN_TAIL = 10        # fewest tail points a fit accepts by default
 SIGNIFICANCE = 0.01
 
 # optimizer box constraints; lambda's box is data-dependent (see _TailStats)
@@ -589,7 +590,7 @@ def _numeric_mle(stats: _TailStats, family: str, restarts: int,
 
 
 def mle_fit(data, family: str, x_min: float, *, restarts: int = DEFAULT_RESTARTS,
-            min_tail: int = 10, method: str = "auto",
+            min_tail: int = MIN_TAIL, method: str = "auto",
             warm: dict[str, float] | None = None) -> tuple[dict[str, float], float]:
     """Fit one family to the tail of data at a fixed x_min.
 
@@ -641,7 +642,7 @@ def _candidate_xmins(values: np.ndarray, max_candidates: int) -> np.ndarray:
     return uniq[idx]
 
 
-def estimate_xmin(data, family: str, *, min_points: int = 50, min_tail: int = 10,
+def estimate_xmin(data, family: str, *, min_points: int = 50, min_tail: int = MIN_TAIL,
                   max_candidates: int = 200, restarts: int = DEFAULT_RESTARTS) -> FitResult:
     """Joint x_min and parameter estimate minimizing the tail KS distance.
 
@@ -684,18 +685,28 @@ def estimate_xmin(data, family: str, *, min_points: int = 50, min_tail: int = 10
 
 
 def compare(data, fit_f: FitResult, family_g: str, *,
-            restarts: int = DEFAULT_RESTARTS) -> ComparisonResult:
+            restarts: int = DEFAULT_RESTARTS,
+            memo: dict[tuple[str, float], dict[str, float]] | None = None
+            ) -> ComparisonResult:
     """Log-likelihood ratio test of fit_f against family_g on the same tail.
 
     g is refit on data >= fit_f.x_min with the identical x_min. R > 0 favors
     f, R < 0 favors g; the verdict is indeterminate when p >= SIGNIFICANCE.
+    memo maps (family, x_min) to the params of a full-budget fit on this
+    data's tail at x_min; the refit is taken from it when there, and added
+    to it when made.
     """
     x = np.asarray(data, dtype=float)
     tail = np.sort(x[x >= fit_f.x_min])
     n = len(tail)
     if n < 2:
         raise TooFewPoints("tail too small to compare")
-    params_g, _ = mle_fit(tail, family_g, fit_f.x_min, restarts=restarts)
+    key = (family_g, fit_f.x_min)
+    params_g = memo.get(key) if memo is not None else None
+    if params_g is None:
+        params_g, _ = mle_fit(tail, family_g, fit_f.x_min, restarts=restarts)
+        if memo is not None:
+            memo[key] = params_g
     dist_f = make_distribution(fit_f.family, fit_f.params, fit_f.x_min)
     dist_g = make_distribution(family_g, params_g, fit_f.x_min)
     ll_f = np.asarray(dist_f.logpdf(tail), dtype=float)
@@ -718,7 +729,7 @@ _N_PARAMS = {tag: len(cls.param_names) for tag, cls in FAMILIES.items()}
 
 
 def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
-                      min_points: int = 50, min_tail: int = 10,
+                      min_points: int = 50, min_tail: int = MIN_TAIL,
                       max_candidates: int = 200,
                       restarts: int = DEFAULT_RESTARTS) -> CandidateSet:
     """Fit every family, eliminate pairwise, and pick a surviving family.
@@ -734,13 +745,20 @@ def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
     """
     fits: dict[str, FitResult | None] = {}
     eliminated_by: dict[str, list[str]] = {tag: [] for tag in families}
+    # one full-budget refit per (family, x_min): a family's own final fit is
+    # the refit compare would make of it at its x_min
+    refits: dict[tuple[str, float], dict[str, float]] = {}
     for tag in families:
         try:
-            fits[tag] = estimate_xmin(data, tag, min_points=min_points, min_tail=min_tail,
-                                      max_candidates=max_candidates, restarts=restarts)
+            fit = estimate_xmin(data, tag, min_points=min_points, min_tail=min_tail,
+                                max_candidates=max_candidates, restarts=restarts)
         except (NoValidCandidate, OptimizerFailure, TooFewPoints):
             fits[tag] = None
             eliminated_by[tag].append("unfit")
+            continue
+        fits[tag] = fit
+        if fit.n_tail >= MIN_TAIL:   # compare's refit needs MIN_TAIL points
+            refits[(tag, fit.x_min)] = fit.params
     for tag in families:
         fit_f = fits[tag]
         if fit_f is None:
@@ -749,7 +767,7 @@ def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
             if other == tag:
                 continue
             try:
-                cmp_res = compare(data, fit_f, other, restarts=restarts)
+                cmp_res = compare(data, fit_f, other, restarts=restarts, memo=refits)
             except (OptimizerFailure, TooFewPoints):
                 continue
             if cmp_res.favored == "g":

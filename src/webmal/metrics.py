@@ -132,10 +132,10 @@ def _undirected_adjacency(g: PldGraph) -> tuple[np.ndarray, np.ndarray]:
     keep = g.edge_src != g.edge_dst
     u = np.minimum(g.edge_src[keep], g.edge_dst[keep])
     v = np.maximum(g.edge_src[keep], g.edge_dst[keep])
-    if len(u) == 0:
-        return u, v
-    pairs = np.unique(np.stack([u, v], axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
+    # one flat key per pair sorts as (u, v) does, far cheaper than a row-wise unique
+    n = g.n_nodes
+    keys = np.unique(u * n + v)
+    return keys // n, keys % n
 
 
 def triangle_counts(g: PldGraph) -> np.ndarray:

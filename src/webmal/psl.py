@@ -77,8 +77,10 @@ def load_psl(path: str) -> SuffixRules:
 
 
 def _host_of(url: str) -> str:
-    """Pull the host out of a URL; cheap on purpose, called once per distinct
-    URL an ingest resolves."""
+    """Pull the host out of a URL: the lowercased name between the scheme and
+    the path, without user info, port or outer dots. build_pld_graph calls
+    it for a URL whose host part is not yet known clean, and once per host
+    part to check that _host_of("http://" + host) gives the host back."""
     s = url.strip()
     i = s.find("://")
     if i >= 0:

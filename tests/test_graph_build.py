@@ -1,5 +1,6 @@
 import gzip
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -120,27 +121,105 @@ def test_against_recount_oracle():
 
 def test_each_url_is_parsed_once(monkeypatch):
     good = [(s, d) for s, d in _random_stream(2000, seed=9) if s != d]
-    # a row linking a URL not yet seen to itself resolves it once
+    # hosts that must go through _host_of, some of them on many URLs
+    unclean = [(f"http://User@H{i % 4}.com:8080/p{i}", f"HTTPS://h{i % 6}.com/q{i % 9}")
+               for i in range(40)]
     self_links = [(f"http://self{i}.com/p", f"http://self{i}.com/p")
                   for i in range(20)]
-    # in a skipped row the good source resolves, then the bad destination
-    # fails; neither is stored, and both are parsed
-    skipped = [(f"http://lone{i}.com/x", _BAD_ENDPOINTS[i % 3]) for i in range(30)]
-    good = good[:500] + self_links + good[500:]
-    rows = good[:1000] + skipped + good[1000:]
-    real = graph._host_of
-    calls = []
+    # skipped rows: bad endpoints and good unclean endpoints both repeat
+    skipped = [(f"http://Lone{i % 4}.com/x", _BAD_ENDPOINTS[i % 3]) for i in range(30)]
+    rows = good[:500] + unclean + self_links + good[500:1000] + skipped + good[1000:]
+    host_calls, pld_calls = [], []
+    real_host_of, real_pld_of_host = graph._host_of, graph.pld_of_host
 
-    def counted(url):
-        calls.append(url)
-        return real(url)
+    def counted_host_of(url):
+        host_calls.append(url)
+        return real_host_of(url)
 
-    monkeypatch.setattr(graph, "_host_of", counted)
+    def counted_pld_of_host(host, *args, **kwargs):
+        pld_calls.append(host)
+        return real_pld_of_host(host, *args, **kwargs)
+
+    monkeypatch.setattr(graph, "_host_of", counted_host_of)
+    monkeypatch.setattr(graph, "pld_of_host", counted_pld_of_host)
     g = build_pld_graph(rows, RULES)
     assert g.skipped_rows == len(skipped)
-    distinct = {u for row in good for u in row}
-    assert len(calls) == len(distinct) + 2 * len(skipped)
-    assert int(g.page_counts.sum()) == len(distinct)
+    ingested = good + unclean + self_links
+    pages = {u for row in ingested for u in row}
+    assert int(g.page_counts.sum()) == len(pages)
+    # no URL of an ingested row is parsed twice, and of the URLs on a clean
+    # host only the first one per host is parsed at all
+    parsed = Counter(u for u in host_calls if u in pages)
+    assert max(parsed.values()) == 1
+    good_urls = {u for row in good for u in row}
+    assert sum(u in parsed for u in good_urls) == len({u.split("/")[2] for u in good_urls})
+    hosts = set()
+    for url in {u for row in rows for u in row}:
+        try:
+            hosts.add(real_host_of(url))
+        except InputError:
+            pass
+    assert sorted(pld_calls) == sorted(hosts)
+
+
+# one PLD reachable through clean and unclean forms of its host; the last
+# entries are hosts no rule matches and hosts with no PLD at all
+_HOST_FORMS = [
+    ("a.com", ["user@a.com", "u:pw@a.com", "a.com:8080", "A.com", "a.com.",
+               ".a.com", "www.a.com?q=1", "a.com#frag", " a.com", "a.com "]),
+    ("b.net", ["x.b.net", "X.B.NET", "x.b.net:443", "x.b.net.", "x.b.net?q"]),
+    ("d.com.cn", ["d.com.cn", "www.D.com.cn", "d.com.cn:1"]),
+    ("e.zz", ["e.zz", "w.E.zz", "e.zz.", "e.zz:99"]),
+    (None, ["[2001:db8::1]", "[::1]:80", "10.0.0.1", "com", "COM.", "", " "]),
+]
+
+
+def _url_forms(seed):
+    """Page URLs over every host form, with https://, no path, a path that
+    starts with ? or #, and some URLs that begin with no scheme at all."""
+    rng = random.Random(seed)
+    urls = []
+    for _, forms in _HOST_FORMS:
+        for host in forms:
+            for scheme in ("http://", "https://", "HTTP://", "//", ""):
+                urls.append(f"{scheme}{host}")
+                urls.append(f"{scheme}{host}/p{rng.randrange(3)}")
+                urls.append(f"{scheme}{host}/?p{rng.randrange(3)}")
+    return urls
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fast_host_path_against_recount_oracle(strict, seed):
+    urls = _url_forms(seed)
+    rng = random.Random(seed)
+    rows = [(rng.choice(urls), rng.choice(urls)) for _ in range(3000)]
+    rows += [(u, u) for u in rng.sample(urls, 40)]
+    rng.shuffle(rows)
+    g = build_pld_graph(rows, RULES, strict=strict)
+    pages, edges = oracle_graph_recount(rows, lambda u: extract_pld(u, RULES, strict))
+    assert {p: int(c) for p, c in zip(g.plds, g.page_counts)} == pages
+    named = {(g.plds[s], g.plds[d]): int(w) for (s, d), w in _edges_by_pair(g).items()}
+    assert named == edges
+    assert g.skipped_rows == len(rows) - sum(edges.values())
+    assert ("e.zz" in g.plds) is not strict
+    assert {"a.com", "b.net", "d.com.cn"} <= set(g.plds)
+
+
+def test_crlf_edge_file_is_the_lf_graph(tmp_path):
+    # each URL is a source and a destination, so a kept CR would split pages
+    rows = [("http://a.com/1", "http://b.com/2"), ("http://b.com/2", "http://a.com"),
+            ("http://a.com", "http://a.com/1"), ("http://c.com/x", "http://b.com/2")]
+    graphs = []
+    for name, newline in (("lf.tsv", "\n"), ("crlf.tsv", "\r\n")):
+        path = tmp_path / name
+        path.write_bytes("".join(f"{s}\t{d}{newline}" for s, d in rows).encode())
+        graphs.append(build_from_file(str(path), RULES))
+    lf, crlf = graphs
+    assert crlf.plds == lf.plds == ["a.com", "b.com", "c.com"]
+    assert crlf.page_counts.tolist() == lf.page_counts.tolist() == [2, 1, 1]
+    assert _edges_by_pair(crlf) == _edges_by_pair(lf)
+    assert (crlf.ingested_rows, crlf.skipped_rows) == (4, 0)
 
 
 def test_tsv_roundtrip(tmp_path):

@@ -570,6 +570,33 @@ def test_select_small_subsample_keeps_family_in_candidates():
     assert len(result.candidates) >= 1
 
 
+def test_select_candidates_refits_each_family_once_per_xmin(monkeypatch):
+    data = np.round(sample("trunc_power_law", {"alpha": 1.8, "lambda": 0.003}, 5.0,
+                           3000, seed=42), 1)
+    options = dict(max_candidates=30, restarts=2)
+    real_fit, real_compare = fitting.mle_fit, fitting.compare
+
+    def full_budget_fits(compare):
+        calls = []
+
+        def counted(tail, family, x_min, *, restarts, **kwargs):
+            if restarts:   # the x_min scan fits with no restarts
+                calls.append((family, x_min))
+            return real_fit(tail, family, x_min, restarts=restarts, **kwargs)
+
+        monkeypatch.setattr(fitting, "mle_fit", counted)
+        monkeypatch.setattr(fitting, "compare", compare)
+        return select_candidates(data, **options), calls
+
+    memoized, calls = full_budget_fits(real_compare)
+    plain, plain_calls = full_budget_fits(
+        lambda *args, memo=None, **kwargs: real_compare(*args, **kwargs))
+    assert len(calls) == len(set(calls))
+    assert len(plain_calls) > len(set(plain_calls)) == len(calls)
+    assert memoized == plain
+    assert memoized.selection == "trunc_power_law"
+
+
 def test_all_eliminated_flag():
     cs = CandidateSet(fits={}, eliminated_by={}, candidates=[], selection=None,
                       selection_flag=None)
