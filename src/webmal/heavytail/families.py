@@ -4,6 +4,10 @@ Six families, each normalized on the tail: power law x^-a, power law with
 exponential cutoff x^-a e^(-lx), exponential, stretched exponential
 x^(b-1) e^(-lx^b), lognormal, and lognormal restricted to positive location.
 
+Each family is one class holding everything about it: parameter names and
+validation, logpdf, cdf, ppf, a sampler and its numeric fit (see
+TailDistribution). `FAMILIES` is the one registry of the families.
+
 The cutoff family needs the upper incomplete gamma Gamma(1-a, l*x_min) with a
 possibly negative first argument, outside scipy's gammaincc domain, so it is
 evaluated here by one scalar routine on Python floats: a continued fraction
@@ -16,15 +20,49 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.special import exp1, gammaincc, log_ndtr, ndtr, ndtri
 
-from ..errors import InvalidParams
+from ..errors import InvalidParams, OptimizerFailure
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _CF_SWITCH = 4.0  # continued fraction above, recurrence below
+
+# optimizer box constraints; lambda's box is data-dependent (see _TailStats)
+ALPHA_LO, ALPHA_HI = 1.0, 4.0
+BETA_HI = 3.0
+MU_LO, MU_HI = -30.0, 30.0
+SIGMA_LO, SIGMA_HI = 0.0, 10.0
+
+# what makes a point infeasible: its decoding overflows, or its likelihood
+# has no value there (log_upper_gamma raises InvalidParams)
+_INFEASIBLE = (InvalidParams, OverflowError, ValueError)
+
+Objective = Callable[[list[float]], float]
+
+
+class _TailStats:
+    """Sufficient statistics of one tail, which keep objective evaluations
+    O(1) for every family except the stretched exponential, and what the
+    fits derive from them alone: the lambda box [lam_lo, lam_hi] and the
+    exponential's closed-form rate exp_lam, a start point."""
+
+    def __init__(self, tail: np.ndarray, x_min: float):
+        self.x_min = float(x_min)
+        self.n = len(tail)
+        self.log_x = np.log(tail)
+        self.sum_log = float(self.log_x.sum())
+        self.sum_x = float(tail.sum())
+        self.sum_log_sq = float((self.log_x ** 2).sum())
+        self.mean = self.sum_x / self.n
+        self.log_xmin = math.log(x_min)
+        excess = max(self.mean - self.x_min, 1e-12 * max(self.x_min, 1.0))
+        self.lam_hi = 10.0 / self.mean
+        # low enough that the cutoff term is negligible across the tail
+        self.lam_lo = min(1e-8 / max(self.sum_x, 1.0), 0.1 * self.lam_hi)
+        self.exp_lam = 1.0 / excess
 
 
 def _upper_gamma(s: float, x: float) -> float:
@@ -100,8 +138,22 @@ def log_upper_gamma(s: float, x: float) -> float:
 
 @dataclass
 class TailDistribution:
-    """Common interface: logpdf and cdf on the tail [x_min, inf). Every
-    family but the truncated power law also has a closed-form ppf."""
+    """One tail family: logpdf, cdf and sample on the tail [x_min, inf), and
+    its numeric fit. Every family but the truncated power law also has a
+    closed-form ppf, and sample draws through it.
+
+    The fit is a set of class-level functions of one tail's _TailStats, on
+    the optimizer's vector t, where parameters run through a transform (logs
+    for scale parameters) so the simplex explores decades evenly. decode
+    maps t to the parameters; objective(stats) returns one closure on t that
+    decodes, checks the parameter box and evaluates -loglik on local floats,
+    inf outside the box or where the likelihood is not finite. An x_min scan
+    calls it hundreds of thousands of times, so it builds no dict and
+    dispatches on no family name. The starts are first_start (moments or a
+    closed form) and Halton points in start_box; encode turns a neighbouring
+    candidate's parameters into a warm start. closed_form, where the family
+    has one, returns (params, loglik) without any search.
+    """
 
     params: dict[str, float]
     x_min: float
@@ -109,6 +161,7 @@ class TailDistribution:
     # set by each family's class
     family: ClassVar[str]
     param_names: ClassVar[tuple[str, ...]]
+    closed_form: ClassVar[Callable[[_TailStats], tuple[dict[str, float], float]] | None] = None
 
     def __post_init__(self):
         if not (self.x_min > 0):
@@ -123,6 +176,39 @@ class TailDistribution:
 
     def cdf(self, x) -> np.ndarray:
         raise NotImplementedError
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws, the inverse CDF of n uniforms."""
+        return np.asarray(self.ppf(rng.random(n)), dtype=float)
+
+    @staticmethod
+    def first_start(stats: _TailStats) -> list[float]:
+        raise NotImplementedError
+
+    @staticmethod
+    def start_box(stats: _TailStats) -> list[tuple[float, float]]:
+        raise NotImplementedError
+
+    @staticmethod
+    def encode(params: dict[str, float]) -> list[float]:
+        raise NotImplementedError
+
+    @staticmethod
+    def decode(stats: _TailStats, t) -> dict[str, float]:
+        raise NotImplementedError
+
+    @staticmethod
+    def objective(stats: _TailStats) -> Objective:
+        raise NotImplementedError
+
+
+def _power_law_alpha(stats: _TailStats) -> float:
+    return 1.0 + stats.n / (stats.sum_log - stats.n * stats.log_xmin)
+
+
+def _power_law_loglik(stats: _TailStats, a: float) -> float:
+    n = stats.n
+    return n * math.log(a - 1) - n * stats.log_xmin - a * (stats.sum_log - n * stats.log_xmin)
 
 
 class PowerLaw(TailDistribution):
@@ -147,6 +233,40 @@ class PowerLaw(TailDistribution):
         a = self.params["alpha"]
         q = np.asarray(q, dtype=float)
         return self.x_min * (1.0 - q) ** (-1.0 / (a - 1.0))
+
+    @staticmethod
+    def closed_form(stats):
+        a = _power_law_alpha(stats)
+        return {"alpha": a}, _power_law_loglik(stats, a)
+
+    @staticmethod
+    def first_start(stats):
+        return [math.log(max(_power_law_alpha(stats) - 1.0, 1e-6))]
+
+    @staticmethod
+    def start_box(stats):
+        return [(math.log(1e-3), math.log(3.0))]
+
+    @staticmethod
+    def encode(params):
+        return [math.log(params["alpha"] - 1.0)]
+
+    @staticmethod
+    def decode(stats, t):
+        return {"alpha": 1.0 + math.exp(t[0])}
+
+    @staticmethod
+    def objective(stats):
+        def objective(t):
+            try:
+                a = 1.0 + math.exp(t[0])
+                if not ALPHA_LO < a <= ALPHA_HI:
+                    return math.inf
+                ll = _power_law_loglik(stats, a)
+            except _INFEASIBLE:
+                return math.inf
+            return -ll if math.isfinite(ll) else math.inf
+        return objective
 
 
 class TruncPowerLaw(TailDistribution):
@@ -182,6 +302,71 @@ class TruncPowerLaw(TailDistribution):
         g = upper_gamma(1.0 - a, lam * x)
         return 1.0 - g / math.exp(self._log_norm_gamma)
 
+    def sample(self, n, rng):
+        """n draws by rejection from a pure power-law envelope (acceptance
+        exp(-lambda (x - x_min))), or from an exponential envelope when the
+        exponent is at or below 1 and the power-law proposal does not exist."""
+        alpha = self.params["alpha"]
+        lam = self.params["lambda"]
+        x_min = self.x_min
+        out = np.empty(0)
+        # batch rejection; envelope acceptance is evaluated vectorized
+        while len(out) < n:
+            want = max(n - len(out), 1)
+            batch = int(want * 1.5) + 16
+            u = rng.random(batch)
+            if alpha > 1.0:
+                y = x_min * (1.0 - u) ** (-1.0 / (alpha - 1.0))
+                accept = rng.random(batch) < np.exp(-lam * (y - x_min))
+            else:
+                # exponential proposal; accept with (y/x_min)^-alpha <= 1
+                y = x_min - np.log1p(-u) / lam
+                accept = rng.random(batch) < (y / x_min) ** (-alpha)
+            out = np.concatenate([out, y[accept]])
+        return out[:n]
+
+    @staticmethod
+    def first_start(stats):
+        a0 = min(max(_power_law_alpha(stats), 1.05), ALPHA_HI)
+        return [math.log(a0 - 1.0), math.log(stats.exp_lam)]
+
+    @staticmethod
+    def start_box(stats):
+        return [(math.log(1e-2), math.log(3.0)),
+                (math.log(stats.lam_lo), math.log(stats.lam_hi))]
+
+    @staticmethod
+    def encode(params):
+        return [math.log(params["alpha"] - 1.0), math.log(params["lambda"])]
+
+    @staticmethod
+    def decode(stats, t):
+        return {"alpha": 1.0 + math.exp(t[0]), "lambda": math.exp(t[1])}
+
+    @staticmethod
+    def objective(stats):
+        n, xm, sum_log, sum_x = stats.n, stats.x_min, stats.sum_log, stats.sum_x
+        lam_lo, lam_hi = stats.lam_lo, stats.lam_hi
+
+        def objective(t):
+            try:
+                a = 1.0 + math.exp(t[0])
+                lam = math.exp(t[1])
+                if not (ALPHA_LO < a <= ALPHA_HI and lam_lo <= lam <= lam_hi):
+                    return math.inf
+                # log C = (1-a) log l - log Gamma(1-a, l x_min)
+                log_c = (1 - a) * math.log(lam) - log_upper_gamma(1 - a, lam * xm)
+                ll = n * log_c - a * sum_log - lam * sum_x
+            except _INFEASIBLE:
+                return math.inf
+            return -ll if math.isfinite(ll) else math.inf
+        return objective
+
+
+def _exponential_loglik(stats: _TailStats, lam: float) -> float:
+    n = stats.n
+    return n * math.log(lam) - lam * (stats.sum_x - n * stats.x_min)
+
 
 class Exponential(TailDistribution):
     family = "exponential"
@@ -206,8 +391,60 @@ class Exponential(TailDistribution):
         q = np.asarray(q, dtype=float)
         return self.x_min - np.log1p(-q) / lam
 
+    @staticmethod
+    def closed_form(stats):
+        excess = stats.mean - stats.x_min
+        if excess <= 0:
+            raise OptimizerFailure("degenerate tail: all points at x_min")
+        lam = 1.0 / excess
+        return {"lambda": lam}, _exponential_loglik(stats, lam)
+
+    @staticmethod
+    def first_start(stats):
+        return [math.log(stats.exp_lam)]
+
+    @staticmethod
+    def start_box(stats):
+        return [(math.log(stats.lam_lo), math.log(stats.lam_hi))]
+
+    @staticmethod
+    def encode(params):
+        return [math.log(params["lambda"])]
+
+    @staticmethod
+    def decode(stats, t):
+        return {"lambda": math.exp(t[0])}
+
+    @staticmethod
+    def objective(stats):
+        lam_hi = stats.lam_hi
+
+        def objective(t):
+            try:
+                lam = math.exp(t[0])
+                if not 0 < lam <= lam_hi:
+                    return math.inf
+                ll = _exponential_loglik(stats, lam)
+            except _INFEASIBLE:
+                return math.inf
+            return -ll if math.isfinite(ll) else math.inf
+        return objective
+
+
+def _stretched_profile(stats: _TailStats, b: float) -> tuple[float, float, float]:
+    """(lambda, sum of x^b, x_min^b) at fixed beta b: the profile likelihood
+    has a closed-form lambda, clamped to a positive finite range."""
+    s_b = float(np.exp(b * stats.log_x).sum())
+    xm_b = stats.x_min ** b
+    denom = s_b - stats.n * xm_b
+    lam = stats.n / denom if denom > 0 else stats.lam_hi
+    lam = min(max(lam, 1e-300), 10.0 / max(stats.mean ** b, 1e-300))
+    return lam, s_b, xm_b
+
 
 class StretchedExponential(TailDistribution):
+    """The fit has one free parameter, log beta; lambda is profiled out."""
+
     family = "stretched_exponential"
     param_names = ("beta", "lambda")
 
@@ -236,10 +473,48 @@ class StretchedExponential(TailDistribution):
         q = np.asarray(q, dtype=float)
         return (self.x_min ** b - np.log1p(-q) / lam) ** (1.0 / b)
 
+    @staticmethod
+    def first_start(stats):
+        return [0.0]  # beta = 1
+
+    @staticmethod
+    def start_box(stats):
+        return [(math.log(0.05), math.log(BETA_HI))]
+
+    @staticmethod
+    def encode(params):
+        return [math.log(params["beta"])]
+
+    @staticmethod
+    def decode(stats, t):
+        b = math.exp(t[0])
+        return {"beta": b, "lambda": _stretched_profile(stats, b)[0]}
+
+    @staticmethod
+    def objective(stats):
+        n, sum_log = stats.n, stats.sum_log
+
+        def objective(t):
+            try:
+                b = math.exp(t[0])
+                # lambda > 0 always holds: the profile clamps it
+                if not 0 < b <= BETA_HI:
+                    return math.inf
+                lam, s_b, xm_b = _stretched_profile(stats, b)
+                ll = (n * (math.log(b) + math.log(lam)) + (b - 1) * sum_log
+                      - lam * (s_b - n * xm_b))
+            except _INFEASIBLE:
+                return math.inf
+            return -ll if math.isfinite(ll) else math.inf
+        return objective
+
 
 class Lognormal(TailDistribution):
     family = "lognormal"
     param_names = ("mu", "sigma")
+    # the fit's lower bound on mu, and whether the first start is lifted to it
+    positive = False
+    mu_lo = MU_LO
 
     def __post_init__(self):
         super().__post_init__()
@@ -275,9 +550,51 @@ class Lognormal(TailDistribution):
         u = p0 + q * math.exp(self._log_sf0)
         return np.exp(mu + sigma * ndtri(u))
 
+    @classmethod
+    def first_start(cls, stats):
+        m0 = stats.sum_log / stats.n
+        s0 = math.sqrt(max(stats.sum_log_sq / stats.n - m0 * m0, 1e-4))
+        return [max(m0, cls.mu_lo + s0) if cls.positive else m0, math.log(s0)]
+
+    @classmethod
+    def start_box(cls, stats):
+        return [(cls.mu_lo, MU_HI), (math.log(0.05), math.log(SIGMA_HI))]
+
+    @staticmethod
+    def encode(params):
+        return [params["mu"], math.log(params["sigma"])]
+
+    @staticmethod
+    def decode(stats, t):
+        return {"mu": t[0], "sigma": math.exp(t[1])}
+
+    @classmethod
+    def objective(cls, stats):
+        n, sum_log, sum_log_sq = stats.n, stats.sum_log, stats.sum_log_sq
+        log_xmin, mu_lo = stats.log_xmin, cls.mu_lo
+        neg_sum_log = -sum_log
+        norm = 0.5 * n * math.log(2 * math.pi)
+
+        def objective(t):
+            try:
+                mu = t[0]
+                sigma = math.exp(t[1])
+                if not (mu_lo <= mu <= MU_HI and SIGMA_LO < sigma <= SIGMA_HI):
+                    return math.inf
+                z0 = (log_xmin - mu) / sigma
+                quad = sum_log_sq - 2 * mu * sum_log + n * mu * mu
+                ll = (neg_sum_log - n * math.log(sigma) - norm
+                      - quad / (2 * sigma * sigma) - n * float(log_ndtr(-z0)))
+            except _INFEASIBLE:
+                return math.inf
+            return -ll if math.isfinite(ll) else math.inf
+        return objective
+
 
 class LognormalPositive(Lognormal):
     family = "lognormal_positive"
+    positive = True
+    mu_lo = 1e-12
 
     def _validate(self):
         super()._validate()

@@ -8,13 +8,9 @@ per-point differences, and a family is eliminated only when a competitor
 beats it decisively (R < 0 with p below SIGNIFICANCE). A comparison keeps
 only R, p and its verdict; the competitor's refit is not reported.
 
-Each family's numeric fit is one record in `_TAIL_FITS` (a `_TailFit`):
-its start points, its warm-start encoding, its closed form where one exists
-(power law, exponential), and a builder of its objective. Starts, closed
-forms and objectives read one tail's `_TailStats` and nothing else. The
-objective is one closure on the optimizer's vector that decodes it, checks
-the parameter box and evaluates the log-likelihood on local floats, with no
-dict and no dispatch on the family name.
+Everything about one family, its numeric fit included, is its class in
+`families.FAMILIES`; this module holds only what every family shares: the
+optimizer, the start points, the x_min scan and the comparisons.
 
 The numeric fits use Nelder-Mead implemented in this module (`minimize`),
 which reproduces scipy's non-adaptive Nelder-Mead iterate for iterate and
@@ -31,26 +27,22 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc, log_ndtr
+from scipy.special import erfc
 from scipy.stats import qmc
 
 from ..errors import (InvalidParams, NoValidCandidate, OptimizerFailure,
                       TooFewPoints)
-from .families import (FAMILIES, FAMILY_ORDER, TailDistribution,
-                       log_upper_gamma, make_distribution)
+# the box constants are imported so that they can be read from here too
+from .families import (ALPHA_HI, ALPHA_LO, BETA_HI, FAMILIES, FAMILY_ORDER,
+                       MU_HI, MU_LO, SIGMA_HI, SIGMA_LO, Objective,
+                       TailDistribution, _TailStats, make_distribution)
 
 DEFAULT_RESTARTS = 8
-MIN_TAIL = 10        # fewest tail points a fit accepts by default
+MIN_TAIL = 10        # fewest tail points a fit accepts
 SIGNIFICANCE = 0.01
-
-# optimizer box constraints; lambda's box is data-dependent (see _TailStats)
-ALPHA_LO, ALPHA_HI = 1.0, 4.0
-BETA_LO, BETA_HI = 0.0, 3.0
-MU_LO, MU_HI = -30.0, 30.0
-SIGMA_LO, SIGMA_HI = 0.0, 10.0
 
 
 @dataclass
@@ -82,28 +74,6 @@ class CandidateSet:
         return self.fits[self.selection] if self.selection else None
 
 
-class _TailStats:
-    """Sufficient statistics of one tail, which keep objective evaluations
-    O(1) for every family except the stretched exponential, and what the
-    fits derive from them alone: the lambda box [lam_lo, lam_hi] and the
-    exponential's closed-form rate exp_lam, a start point."""
-
-    def __init__(self, tail: np.ndarray, x_min: float):
-        self.x_min = float(x_min)
-        self.n = len(tail)
-        self.log_x = np.log(tail)
-        self.sum_log = float(self.log_x.sum())
-        self.sum_x = float(tail.sum())
-        self.sum_log_sq = float((self.log_x ** 2).sum())
-        self.mean = self.sum_x / self.n
-        self.log_xmin = math.log(x_min)
-        excess = max(self.mean - self.x_min, 1e-12 * max(self.x_min, 1.0))
-        self.lam_hi = 10.0 / self.mean
-        # low enough that the cutoff term is negligible across the tail
-        self.lam_lo = min(1e-8 / max(self.sum_x, 1.0), 0.1 * self.lam_hi)
-        self.exp_lam = 1.0 / excess
-
-
 @functools.lru_cache(maxsize=None)
 def _halton(dim: int, count: int) -> np.ndarray:
     """The first count points of the unscrambled Halton sequence; shared
@@ -121,9 +91,6 @@ _XR, _WR = 1 + _RHO, _RHO                  # reflection
 _XE, _WE = 1 + _RHO * _CHI, _RHO * _CHI    # expansion
 _XC, _WC = 1 + _PSI * _RHO, _PSI * _RHO    # outside contraction
 _XCC, _WCC = 1 - _PSI, _PSI                # inside contraction: _XCC*xbar + _WCC*worst
-
-
-Objective = Callable[[list[float]], float]
 
 
 class NelderMeadResult(NamedTuple):
@@ -304,279 +271,30 @@ def _nelder_mead_2d(fun: Objective, x0: float, y0: float, xatol: float,
     return NelderMeadResult([x0, y0], f0, nfev, nit)
 
 
-# what makes a point infeasible: its decoding overflows, or its likelihood
-# has no value there (log_upper_gamma raises InvalidParams)
-_INFEASIBLE = (InvalidParams, OverflowError, ValueError)
-
-
-class _TailFit:
-    """How one tail family is fitted numerically, on the optimizer's vector t.
-
-    Parameters run through a transform (logs for scale parameters) so the
-    simplex explores decades evenly. decode maps t to the parameters;
-    objective(stats) returns one closure on t that decodes, checks
-    the parameter box and evaluates -loglik on local floats, inf outside
-    the box or where the likelihood is not finite. An x_min scan calls it
-    hundreds of thousands of times, so it builds no dict and dispatches on
-    no family name.
-
-    The starts are first_start (moments or a closed form) followed by
-    `restarts` Halton points in start_box, both in t coordinates; encode
-    turns a neighbouring candidate's parameters into a warm start.
-    closed_form, on the families that have one, returns (params, loglik)
-    without any search.
-    """
-
-    closed_form: Callable[[_TailStats], tuple[dict[str, float], float]] | None = None
-
-    def first_start(self, stats: _TailStats) -> list[float]:
-        raise NotImplementedError
-
-    def start_box(self, stats: _TailStats) -> list[tuple[float, float]]:
-        raise NotImplementedError
-
-    def encode(self, params: dict[str, float]) -> list[float]:
-        raise NotImplementedError
-
-    def decode(self, stats: _TailStats, t) -> dict[str, float]:
-        raise NotImplementedError
-
-    def objective(self, stats: _TailStats) -> Objective:
-        raise NotImplementedError
-
-    def starts(self, stats: _TailStats, restarts: int) -> list[list[float]]:
-        first = self.first_start(stats)
-        box = self.start_box(stats)
-        return [first] + [[lo + u * (hi - lo) for u, (lo, hi) in zip(row, box)]
-                          for row in _halton(len(box), restarts).tolist()]
-
-
-def _power_law_alpha(stats: _TailStats) -> float:
-    return 1.0 + stats.n / (stats.sum_log - stats.n * stats.log_xmin)
-
-
-def _power_law_loglik(stats: _TailStats, a: float) -> float:
-    n = stats.n
-    return n * math.log(a - 1) - n * stats.log_xmin - a * (stats.sum_log - n * stats.log_xmin)
-
-
-class _PowerLawFit(_TailFit):
-    def closed_form(self, stats):
-        a = _power_law_alpha(stats)
-        return {"alpha": a}, _power_law_loglik(stats, a)
-
-    def first_start(self, stats):
-        return [math.log(max(_power_law_alpha(stats) - 1.0, 1e-6))]
-
-    def start_box(self, stats):
-        return [(math.log(1e-3), math.log(3.0))]
-
-    def encode(self, params):
-        return [math.log(params["alpha"] - 1.0)]
-
-    def decode(self, stats, t):
-        return {"alpha": 1.0 + math.exp(t[0])}
-
-    def objective(self, stats):
-        def objective(t):
-            try:
-                a = 1.0 + math.exp(t[0])
-                if not ALPHA_LO < a <= ALPHA_HI:
-                    return math.inf
-                ll = _power_law_loglik(stats, a)
-            except _INFEASIBLE:
-                return math.inf
-            return -ll if math.isfinite(ll) else math.inf
-        return objective
-
-
-def _exponential_loglik(stats: _TailStats, lam: float) -> float:
-    n = stats.n
-    return n * math.log(lam) - lam * (stats.sum_x - n * stats.x_min)
-
-
-class _ExponentialFit(_TailFit):
-    def closed_form(self, stats):
-        excess = stats.mean - stats.x_min
-        if excess <= 0:
-            raise OptimizerFailure("degenerate tail: all points at x_min")
-        lam = 1.0 / excess
-        return {"lambda": lam}, _exponential_loglik(stats, lam)
-
-    def first_start(self, stats):
-        return [math.log(stats.exp_lam)]
-
-    def start_box(self, stats):
-        return [(math.log(stats.lam_lo), math.log(stats.lam_hi))]
-
-    def encode(self, params):
-        return [math.log(params["lambda"])]
-
-    def decode(self, stats, t):
-        return {"lambda": math.exp(t[0])}
-
-    def objective(self, stats):
-        lam_hi = stats.lam_hi
-
-        def objective(t):
-            try:
-                lam = math.exp(t[0])
-                if not 0 < lam <= lam_hi:
-                    return math.inf
-                ll = _exponential_loglik(stats, lam)
-            except _INFEASIBLE:
-                return math.inf
-            return -ll if math.isfinite(ll) else math.inf
-        return objective
-
-
-class _TruncPowerLawFit(_TailFit):
-    def first_start(self, stats):
-        a0 = min(max(_power_law_alpha(stats), 1.05), ALPHA_HI)
-        return [math.log(a0 - 1.0), math.log(stats.exp_lam)]
-
-    def start_box(self, stats):
-        return [(math.log(1e-2), math.log(3.0)),
-                (math.log(stats.lam_lo), math.log(stats.lam_hi))]
-
-    def encode(self, params):
-        return [math.log(params["alpha"] - 1.0), math.log(params["lambda"])]
-
-    def decode(self, stats, t):
-        return {"alpha": 1.0 + math.exp(t[0]), "lambda": math.exp(t[1])}
-
-    def objective(self, stats):
-        n, xm, sum_log, sum_x = stats.n, stats.x_min, stats.sum_log, stats.sum_x
-        lam_lo, lam_hi = stats.lam_lo, stats.lam_hi
-
-        def objective(t):
-            try:
-                a = 1.0 + math.exp(t[0])
-                lam = math.exp(t[1])
-                if not (ALPHA_LO < a <= ALPHA_HI and lam_lo <= lam <= lam_hi):
-                    return math.inf
-                # log C = (1-a) log l - log Gamma(1-a, l x_min)
-                log_c = (1 - a) * math.log(lam) - log_upper_gamma(1 - a, lam * xm)
-                ll = n * log_c - a * sum_log - lam * sum_x
-            except _INFEASIBLE:
-                return math.inf
-            return -ll if math.isfinite(ll) else math.inf
-        return objective
-
-
-def _stretched_profile(stats: _TailStats, b: float) -> tuple[float, float, float]:
-    """(lambda, sum of x^b, x_min^b) at fixed beta b: the profile likelihood
-    has a closed-form lambda, clamped to a positive finite range."""
-    s_b = float(np.exp(b * stats.log_x).sum())
-    xm_b = stats.x_min ** b
-    denom = s_b - stats.n * xm_b
-    lam = stats.n / denom if denom > 0 else stats.lam_hi
-    lam = min(max(lam, 1e-300), 10.0 / max(stats.mean ** b, 1e-300))
-    return lam, s_b, xm_b
-
-
-class _StretchedExponentialFit(_TailFit):
-    """One free parameter, log beta; lambda is profiled out."""
-
-    def first_start(self, stats):
-        return [0.0]  # beta = 1
-
-    def start_box(self, stats):
-        return [(math.log(0.05), math.log(BETA_HI))]
-
-    def encode(self, params):
-        return [math.log(params["beta"])]
-
-    def decode(self, stats, t):
-        b = math.exp(t[0])
-        return {"beta": b, "lambda": _stretched_profile(stats, b)[0]}
-
-    def objective(self, stats):
-        n, sum_log = stats.n, stats.sum_log
-
-        def objective(t):
-            try:
-                b = math.exp(t[0])
-                # lambda > 0 always holds: the profile clamps it
-                if not 0 < b <= BETA_HI:
-                    return math.inf
-                lam, s_b, xm_b = _stretched_profile(stats, b)
-                ll = (n * (math.log(b) + math.log(lam)) + (b - 1) * sum_log
-                      - lam * (s_b - n * xm_b))
-            except _INFEASIBLE:
-                return math.inf
-            return -ll if math.isfinite(ll) else math.inf
-        return objective
-
-
-class _LognormalFit(_TailFit):
-    """lognormal, and lognormal_positive, whose mu box starts just above 0."""
-
-    def __init__(self, positive: bool):
-        self.positive = positive
-        self.mu_lo = 1e-12 if positive else MU_LO
-
-    def first_start(self, stats):
-        m0 = stats.sum_log / stats.n
-        s0 = math.sqrt(max(stats.sum_log_sq / stats.n - m0 * m0, 1e-4))
-        return [max(m0, self.mu_lo + s0) if self.positive else m0, math.log(s0)]
-
-    def start_box(self, stats):
-        return [(self.mu_lo, MU_HI), (math.log(0.05), math.log(SIGMA_HI))]
-
-    def encode(self, params):
-        return [params["mu"], math.log(params["sigma"])]
-
-    def decode(self, stats, t):
-        return {"mu": t[0], "sigma": math.exp(t[1])}
-
-    def objective(self, stats):
-        n, sum_log, sum_log_sq = stats.n, stats.sum_log, stats.sum_log_sq
-        log_xmin, mu_lo = stats.log_xmin, self.mu_lo
-        neg_sum_log = -sum_log
-        norm = 0.5 * n * math.log(2 * math.pi)
-
-        def objective(t):
-            try:
-                mu = t[0]
-                sigma = math.exp(t[1])
-                if not (mu_lo <= mu <= MU_HI and SIGMA_LO < sigma <= SIGMA_HI):
-                    return math.inf
-                z0 = (log_xmin - mu) / sigma
-                quad = sum_log_sq - 2 * mu * sum_log + n * mu * mu
-                ll = (neg_sum_log - n * math.log(sigma) - norm
-                      - quad / (2 * sigma * sigma) - n * float(log_ndtr(-z0)))
-            except _INFEASIBLE:
-                return math.inf
-            return -ll if math.isfinite(ll) else math.inf
-        return objective
-
-
-# one record per family in FAMILIES
-_TAIL_FITS: dict[str, _TailFit] = {
-    "power_law": _PowerLawFit(),
-    "trunc_power_law": _TruncPowerLawFit(),
-    "exponential": _ExponentialFit(),
-    "stretched_exponential": _StretchedExponentialFit(),
-    "lognormal": _LognormalFit(positive=False),
-    "lognormal_positive": _LognormalFit(positive=True),
-}
+def starts(family: type[TailDistribution], stats: _TailStats,
+           restarts: int) -> list[list[float]]:
+    """The family's first start, then `restarts` Halton points in its start
+    box, all in the optimizer's coordinates."""
+    box = family.start_box(stats)
+    return [family.first_start(stats)] + [
+        [lo + u * (hi - lo) for u, (lo, hi) in zip(row, box)]
+        for row in _halton(len(box), restarts).tolist()]
 
 
 def _numeric_mle(stats: _TailStats, family: str, restarts: int,
                  warm: dict[str, float] | None = None) -> tuple[dict[str, float], float]:
     """Derivative-free maximization of the tail log-likelihood: one
     Nelder-Mead run from each feasible start, the warm start first."""
-    fit = _TAIL_FITS[family]
-    starts = fit.starts(stats, restarts)
+    fam = FAMILIES[family]
+    points = starts(fam, stats, restarts)
     if warm is not None:
         try:
-            starts.insert(0, fit.encode(warm))
+            points.insert(0, fam.encode(warm))
         except (ValueError, KeyError):
             pass
-    objective = fit.objective(stats)
+    objective = fam.objective(stats)
     best_t, best_ll = None, -math.inf
-    for t0 in starts:
+    for t0 in points:
         if not math.isfinite(objective(t0)):
             continue
         res = minimize(objective, t0)
@@ -586,12 +304,12 @@ def _numeric_mle(stats: _TailStats, family: str, restarts: int,
             best_t, best_ll = res.x, -res.fun
     if best_t is None:
         raise OptimizerFailure(f"no start converged for {family}")
-    return fit.decode(stats, best_t), best_ll
+    return fam.decode(stats, best_t), best_ll
 
 
 def mle_fit(data, family: str, x_min: float, *, restarts: int = DEFAULT_RESTARTS,
-            min_tail: int = MIN_TAIL, method: str = "auto",
-            warm: dict[str, float] | None = None) -> tuple[dict[str, float], float]:
+            method: str = "auto", warm: dict[str, float] | None = None
+            ) -> tuple[dict[str, float], float]:
     """Fit one family to the tail of data at a fixed x_min.
 
     Power law and exponential have closed-form estimators (used when method
@@ -607,13 +325,13 @@ def mle_fit(data, family: str, x_min: float, *, restarts: int = DEFAULT_RESTARTS
     if np.any(~np.isfinite(x)):
         raise InvalidParams("data must be finite")
     tail = x[x >= x_min]
-    if len(tail) < min_tail:
-        raise TooFewPoints(f"{len(tail)} tail points < floor {min_tail}")
+    if len(tail) < MIN_TAIL:
+        raise TooFewPoints(f"{len(tail)} tail points < floor {MIN_TAIL}")
     stats = _TailStats(np.sort(tail), x_min)
     # no spread in log x: every point at x_min, up to rounding
     if stats.sum_log - stats.n * stats.log_xmin <= 0:
         raise OptimizerFailure("degenerate tail: all points at x_min")
-    closed_form = _TAIL_FITS[family].closed_form
+    closed_form = FAMILIES[family].closed_form
     if method == "auto" and closed_form is not None:
         return closed_form(stats)
     if method not in ("auto", "numeric"):
@@ -642,8 +360,8 @@ def _candidate_xmins(values: np.ndarray, max_candidates: int) -> np.ndarray:
     return uniq[idx]
 
 
-def estimate_xmin(data, family: str, *, min_points: int = 50, min_tail: int = MIN_TAIL,
-                  max_candidates: int = 200, restarts: int = DEFAULT_RESTARTS) -> FitResult:
+def estimate_xmin(data, family: str, *, min_points: int = 50, max_candidates: int = 200,
+                  restarts: int = DEFAULT_RESTARTS) -> FitResult:
     """Joint x_min and parameter estimate minimizing the tail KS distance.
 
     Candidates are the unique data values (subsampled evenly to at most
@@ -663,11 +381,10 @@ def estimate_xmin(data, family: str, *, min_points: int = 50, min_tail: int = MI
     for xm in candidates:
         i0 = np.searchsorted(x, xm, side="left")
         tail = x[i0:]
-        if len(tail) < min_tail:
+        if len(tail) < MIN_TAIL:
             break  # tails only shrink from here
         try:
-            params, _ = mle_fit(tail, family, float(xm), restarts=0,
-                                min_tail=min_tail, warm=warm)
+            params, _ = mle_fit(tail, family, float(xm), restarts=0, warm=warm)
             dist = make_distribution(family, params, float(xm))
             d = ks_distance(tail, dist)
         except (OptimizerFailure, InvalidParams):
@@ -679,7 +396,7 @@ def estimate_xmin(data, family: str, *, min_points: int = 50, min_tail: int = MI
         raise NoValidCandidate(f"no usable x_min candidate for {family}")
     x_min = best[1]
     tail = x[np.searchsorted(x, x_min, side="left"):]
-    params, loglik = mle_fit(tail, family, x_min, restarts=restarts, min_tail=min_tail)
+    params, loglik = mle_fit(tail, family, x_min, restarts=restarts)
     dist = make_distribution(family, params, x_min)
     return FitResult(family, params, x_min, ks_distance(tail, dist), loglik, len(tail))
 
@@ -725,12 +442,8 @@ def compare(data, fit_f: FitResult, family_g: str, *,
     return ComparisonResult(r, p, favored)
 
 
-_N_PARAMS = {tag: len(cls.param_names) for tag, cls in FAMILIES.items()}
-
-
 def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
-                      min_points: int = 50, min_tail: int = MIN_TAIL,
-                      max_candidates: int = 200,
+                      min_points: int = 50, max_candidates: int = 200,
                       restarts: int = DEFAULT_RESTARTS) -> CandidateSet:
     """Fit every family, eliminate pairwise, and pick a surviving family.
 
@@ -750,15 +463,14 @@ def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
     refits: dict[tuple[str, float], dict[str, float]] = {}
     for tag in families:
         try:
-            fit = estimate_xmin(data, tag, min_points=min_points, min_tail=min_tail,
+            fit = estimate_xmin(data, tag, min_points=min_points,
                                 max_candidates=max_candidates, restarts=restarts)
         except (NoValidCandidate, OptimizerFailure, TooFewPoints):
             fits[tag] = None
             eliminated_by[tag].append("unfit")
             continue
         fits[tag] = fit
-        if fit.n_tail >= MIN_TAIL:   # compare's refit needs MIN_TAIL points
-            refits[(tag, fit.x_min)] = fit.params
+        refits[(tag, fit.x_min)] = fit.params
     for tag in families:
         fit_f = fits[tag]
         if fit_f is None:
@@ -783,8 +495,9 @@ def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
     if len(candidates) == 1:
         selection, flag = candidates[0], "unique"
     elif len(candidates) > 1:
-        fewest = min(_N_PARAMS[t] for t in candidates)
-        small = [t for t in candidates if _N_PARAMS[t] == fewest]
+        n_params = {t: len(FAMILIES[t].param_names) for t in candidates}
+        fewest = min(n_params.values())
+        small = [t for t in candidates if n_params[t] == fewest]
         if len(small) == 1:
             selection, flag = small[0], "judged"
         else:

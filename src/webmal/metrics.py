@@ -47,7 +47,7 @@ class NodeMetrics:
     hub: np.ndarray
     authority: np.ndarray
     triangles: np.ndarray
-    num_pages: np.ndarray | None = None
+    num_pages: np.ndarray
     pagerank_converged: bool = True
     hits_converged: bool = True
 
@@ -184,12 +184,11 @@ def _relabel_components(raw: np.ndarray) -> np.ndarray:
     return remap[raw]
 
 
-def compute_node_metrics(g: PldGraph, damping: float = 0.85,
-                         pagerank_tol: float = 1e-10, pagerank_max_iter: int = 100,
-                         hits_tol: float = 1e-10, hits_max_iter: int = 1000) -> NodeMetrics:
+def compute_node_metrics(g: PldGraph, damping: float = 0.85, pagerank_max_iter: int = 100,
+                         hits_max_iter: int = 1000) -> NodeMetrics:
     indeg, outdeg = degrees(g)
-    pr = pagerank(g, damping=damping, tol=pagerank_tol, max_iter=pagerank_max_iter)
-    ht = hits(g, tol=hits_tol, max_iter=hits_max_iter)
+    pr = pagerank(g, damping=damping, max_iter=pagerank_max_iter)
+    ht = hits(g, max_iter=hits_max_iter)
     tri = triangle_counts(g)
     return NodeMetrics(
         plds=g.plds,
@@ -211,10 +210,9 @@ METRICS_HEADER = ("pld", "indeg", "outdeg", "total", "pagerank", "hub", "auth",
 
 
 def write_metrics(m: NodeMetrics, path: str) -> None:
-    pages = m.num_pages if m.num_pages is not None else np.zeros(len(m.plds), np.int64)
     write_table(path, METRICS_HEADER, (
         m.plds, m.indegree, m.outdegree, m.total_degree, m.pagerank, m.hub,
-        m.authority, m.triangles, pages))
+        m.authority, m.triangles, m.num_pages))
 
 
 def read_metrics(path: str) -> NodeMetrics:

@@ -245,7 +245,7 @@ def oracle_mdns(g: CooccurrenceGraph) -> list[dict]:
 def oracle_tail_loglik(stats, family: str, params: dict[str, float]) -> float:
     """Tail log-likelihood of one family from a parameter dict.
 
-    stats is a heavytail.fitting._TailStats. The formulas are the ones each
+    stats is a heavytail.families._TailStats. The formulas are the ones each
     family's fused objective must reproduce bit for bit.
     """
     n, xm = stats.n, stats.x_min

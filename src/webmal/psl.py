@@ -78,7 +78,8 @@ def load_psl(path: str) -> SuffixRules:
 
 def _host_of(url: str) -> str:
     """Pull the host out of a URL: the lowercased name between the scheme and
-    the path, without user info, port or outer dots. build_pld_graph calls
+    the path, without user info, port or outer dots. A host with whitespace
+    in it raises NoHost, like a URL with no host at all. build_pld_graph calls
     it for a URL whose host part is not yet known clean, and once per host
     part to check that _host_of("http://" + host) gives the host back."""
     s = url.strip()
@@ -102,6 +103,8 @@ def _host_of(url: str) -> str:
     s = s.strip(".").lower()
     if not s:
         raise NoHost(f"no parsable host in {url!r}")
+    if s.split() != [s]:  # a whitespace character anywhere in the host
+        raise NoHost(f"whitespace in the host of {url!r}")
     return s
 
 

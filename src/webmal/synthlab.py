@@ -1,10 +1,9 @@
-"""Synthetic data generation: family samplers and planted crawl corpora.
+"""Synthetic data generation: tail samples and planted crawl corpora.
 
-Samplers invert the closed-form CDFs where available; the power law with
-exponential cutoff is drawn by rejection from a pure power-law envelope
-(acceptance exp(-lambda (x - x_min))), falling back to an exponential
-envelope when the exponent is at or below 1 and the power-law proposal does
-not exist. All draws are deterministic per seed.
+Every draw from a tail family goes through that family's class in
+`heavytail.families`, whose `sample` holds its sampler: the inverse CDF, or
+for the power law with exponential cutoff a rejection sampler. All draws
+are deterministic per seed.
 
 plant_crawl builds a full crawl corpus with known ground truth:
 
@@ -37,45 +36,12 @@ from .reputation import PldFileProfile, VerdictMatrix
 from .tables import read_json, write_json, write_table
 
 
-def _sample_trunc_power_law(params: dict[str, float], x_min: float, n: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    alpha = float(params["alpha"])
-    lam = float(params["lambda"])
-    out = np.empty(0)
-    # batch rejection; envelope acceptance is evaluated vectorized
-    while len(out) < n:
-        want = max(n - len(out), 1)
-        batch = int(want * 1.5) + 16
-        u = rng.random(batch)
-        if alpha > 1.0:
-            y = x_min * (1.0 - u) ** (-1.0 / (alpha - 1.0))
-            accept = rng.random(batch) < np.exp(-lam * (y - x_min))
-        else:
-            # exponential proposal; accept with (y/x_min)^-alpha <= 1
-            y = x_min - np.log1p(-u) / lam
-            accept = rng.random(batch) < (y / x_min) ** (-alpha)
-        out = np.concatenate([out, y[accept]])
-    return out[:n]
-
-
 def sample(family: str, params: dict[str, float], x_min: float, n: int,
            seed: int) -> np.ndarray:
     """Draw n points from a tail family on [x_min, inf), deterministic per seed."""
     if n < 0:
         raise InvalidParams("n must be nonnegative")
-    rng = np.random.default_rng(seed)
-    return _sample_with(family, params, x_min, n, rng)
-
-
-def _sample_with(family: str, params: dict[str, float], x_min: float, n: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    if family == "trunc_power_law":
-        # validate parameters through the distribution constructor first
-        make_distribution(family, params, x_min)
-        return _sample_trunc_power_law(params, x_min, n, rng)
-    dist = make_distribution(family, params, x_min)
-    u = rng.random(n)
-    return np.asarray(dist.ppf(u), dtype=float)
+    return make_distribution(family, params, x_min).sample(n, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +257,7 @@ class Corpus:
 
 def _draw_ints(fs: FamilySpec, n: int, rng: np.random.Generator,
                cap: int | None = None) -> np.ndarray:
-    raw = _sample_with(fs.family, dict(fs.params), fs.x_min, n, rng)
+    raw = make_distribution(fs.family, fs.params, fs.x_min).sample(n, rng)
     vals = np.maximum(1, np.rint(raw)).astype(np.int64)
     if cap is not None:
         vals = np.minimum(vals, cap)
@@ -404,9 +370,8 @@ def plant_crawl(spec: SyntheticSpec) -> Corpus:
 
     # inter-PLD links: k distinct sources per target, propensity-weighted,
     # homophilous draws pick the source from the target's own class pool
-    prop = np.asarray(_sample_with(spec.out_propensity.family,
-                                   dict(spec.out_propensity.params),
-                                   spec.out_propensity.x_min, n, rng_edges))
+    prop = make_distribution(spec.out_propensity.family, spec.out_propensity.params,
+                             spec.out_propensity.x_min).sample(n, rng_edges)
     pool_all = np.arange(n)
     cum_all = np.cumsum(prop)
     pools = {}

@@ -74,6 +74,19 @@ def test_skipped_rows_counted_not_fatal():
     assert g.ingested_rows == 1
 
 
+def test_whitespace_host_rows_are_skipped():
+    edges = [
+        ("http://a.com/1", "http://b.com/1"),
+        ("http://a.com /x", "http://b.com/1"),
+        ("http://a.com/1", "http:// b.com/y"),
+        ("http://a.b c.com/q", "http://a.com/1"),
+    ]
+    g = build_pld_graph(edges, RULES)
+    assert g.plds == ["a.com", "b.com"]
+    assert not any(c.isspace() for pld in g.plds for c in pld)
+    assert (g.ingested_rows, g.skipped_rows) == (1, 3)
+
+
 def test_empty_input_raises():
     with pytest.raises(EmptyInput):
         build_pld_graph([], RULES)

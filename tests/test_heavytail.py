@@ -10,10 +10,9 @@ from webmal.heavytail import (FAMILY_ORDER, CandidateSet, compare, estimate_xmin
                               ks_distance, make_distribution, mle_fit,
                               select_candidates, upper_gamma)
 from webmal.heavytail import fitting
-from webmal.heavytail.families import _CF_SWITCH
+from webmal.heavytail.families import _CF_SWITCH, FAMILIES
 from webmal.heavytail.fitting import (ALPHA_HI, ALPHA_LO, BETA_HI, MU_HI, MU_LO,
-                                      SIGMA_HI, SIGMA_LO, _TAIL_FITS, _TailStats,
-                                      minimize)
+                                      SIGMA_HI, SIGMA_LO, _TailStats, minimize)
 from webmal.oracles import oracle_tail_loglik
 from webmal.synthlab import sample
 
@@ -228,7 +227,7 @@ IN_BOX = {
 def _reference_objective(family, stats, t):
     """-loglik of decode(t) through the dict-based oracle; inf off the box."""
     try:
-        params = _TAIL_FITS[family].decode(stats, t)
+        params = FAMILIES[family].decode(stats, t)
     except (OverflowError, ValueError):
         return math.inf
     if not IN_BOX[family](params, stats):
@@ -263,7 +262,7 @@ def _t_grid(family, stats):
 ], ids=["continuous", "integer"])
 def test_family_objective_is_the_oracle_loglik_bit_for_bit(family, tail, x_min):
     stats = _TailStats(np.sort(tail[tail >= x_min]), x_min)
-    objective = _TAIL_FITS[family].objective(stats)
+    objective = FAMILIES[family].objective(stats)
     finite = 0
     with np.errstate(over="ignore"):
         for t in _t_grid(family, stats):
@@ -271,6 +270,22 @@ def test_family_objective_is_the_oracle_loglik_bit_for_bit(family, tail, x_min):
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (t, got, want)
             finite += math.isfinite(got)
     assert finite >= 10
+
+
+@pytest.mark.parametrize("family", FAMILY_ORDER)
+def test_family_fit_interface_is_consistent(family):
+    # a key mismatch would otherwise surface only as InvalidParams in the
+    # x_min scan, where the family quietly ends up "unfit"
+    cls = FAMILIES[family]
+    tail = sample("lognormal", {"mu": 0.5, "sigma": 1.2}, 1.0, 300, seed=15)
+    stats = _TailStats(np.sort(tail), 1.0)
+    first = cls.first_start(stats)
+    params = cls.decode(stats, first)
+    assert sorted(params) == sorted(cls.param_names)
+    assert cls.encode(params) == pytest.approx(first, rel=0, abs=1e-12)
+    assert len(first) == len(cls.start_box(stats))
+    dist = cls(params=params, x_min=stats.x_min)
+    assert dist.sample(0, np.random.default_rng(0)).shape == (0,)
 
 
 def test_select_candidates_runs_every_numeric_fit_through_minimize(monkeypatch):
@@ -330,7 +345,7 @@ def test_tail_all_at_xmin_is_an_optimizer_failure(family, method, tail):
 
 
 def test_capped_top_value_does_not_escape_select_candidates():
-    # the largest value repeats min_tail times, so the scan meets a tail
+    # the largest value repeats MIN_TAIL times, so the scan meets a tail
     # whose points all equal its x_min
     rng = np.random.default_rng(0)
     data = np.concatenate([np.floor(rng.pareto(1.0, 150) + 1), np.full(10, 7000.0)])
@@ -341,14 +356,14 @@ def test_capped_top_value_does_not_escape_select_candidates():
 
 
 def test_power_law_closed_form():
-    data = np.full(4, math.e)
-    params, _ = mle_fit(data, "power_law", 1.0, min_tail=4)
+    data = np.full(10, math.e)
+    params, _ = mle_fit(data, "power_law", 1.0)
     assert params["alpha"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_exponential_closed_form():
     data = np.array([1.0] * 6 + [5.0] * 6)  # mean 3, x_min 1
-    params, _ = mle_fit(data, "exponential", 1.0, min_tail=5)
+    params, _ = mle_fit(data, "exponential", 1.0)
     assert params["lambda"] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -448,14 +463,14 @@ def test_estimate_xmin_is_the_ks_argmin_with_tie_to_smaller():
     rng = np.random.default_rng(5)
     data = np.round(sample("power_law", {"alpha": 2.0}, 1.0, 800, seed=5) + rng.random(800), 1)
     data = data[data > 0]
-    fit = estimate_xmin(data, "power_law", min_tail=10)
+    fit = estimate_xmin(data, "power_law")
     xs = np.sort(data)
     best_d, best_xm = None, None
     for xm in np.unique(xs):
         tail = xs[xs >= xm]
         if len(tail) < 10:
             break
-        params, _ = mle_fit(tail, "power_law", float(xm), min_tail=10)
+        params, _ = mle_fit(tail, "power_law", float(xm))
         d = ks_distance(tail, make_distribution("power_law", params, float(xm)))
         if best_d is None or d < best_d:
             best_d, best_xm = d, float(xm)
@@ -565,7 +580,7 @@ def test_select_small_subsample_keeps_family_in_candidates():
                   30_000, seed=42)
     rng = np.random.default_rng(43)
     sub = rng.choice(data, size=60, replace=False)
-    result = select_candidates(sub, min_points=50, min_tail=10)
+    result = select_candidates(sub, min_points=50)
     assert "trunc_power_law" in result.candidates
     assert len(result.candidates) >= 1
 

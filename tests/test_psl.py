@@ -81,6 +81,14 @@ def test_extract_errors():
         extract_pld("http://foo.zz/", BASIC, strict=True)
 
 
+@pytest.mark.parametrize("url", ["http://a.com /x", "http:// b.com/y",
+                                 "http://a.b c.com/q", "http://a.com\t/x",
+                                 "http://a.b\u00a0c.com/"])
+def test_whitespace_in_host_is_no_host(url):
+    with pytest.raises(NoHost, match="whitespace"):
+        extract_pld(url, BASIC)
+
+
 def test_extract_unknown_suffix_fallback():
     # default policy: last label acts as the suffix
     assert extract_pld("http://foo.zz/", BASIC) == "foo.zz"
