@@ -9,6 +9,8 @@ One subcommand per pipeline stage, each a call of the stage function in
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import sys
 from dataclasses import fields
 
@@ -254,7 +256,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _freeze_startup_objects() -> None:
+    """Freeze, once per process, what is alive when the first command starts
+    (the state of numpy, scipy and these modules), which lives until the
+    process exits. Every full collection a command triggers then skips it,
+    so when those collections come and what they cost follow the command's
+    own objects only."""
+    gc.freeze()
+
+
 def main(argv=None) -> int:
+    _freeze_startup_objects()
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc
-from scipy.stats import qmc
 
 from ..errors import (InvalidParams, NoValidCandidate, OptimizerFailure,
                       TooFewPoints)
@@ -74,11 +73,27 @@ class CandidateSet:
         return self.fits[self.selection] if self.selection else None
 
 
+_HALTON_BASES = (2, 3)   # one per parameter; no family has more than two
+
+
 @functools.lru_cache(maxsize=None)
 def _halton(dim: int, count: int) -> np.ndarray:
-    """The first count points of the unscrambled Halton sequence; shared
-    between calls, so the array is read-only."""
-    table = qmc.Halton(d=dim, scramble=False).random(count)
+    """The first count points of the unscrambled Halton sequence: coordinate
+    j of row i is the radical inverse of i in base 2 (j = 0) or 3 (j = 1).
+    These are the bits of scipy's `qmc.Halton(d=dim, scramble=False)
+    .random(count)`, computed here so that no process loads `scipy.stats`
+    for them. Shared between calls, so the array is read-only."""
+    if not 1 <= dim <= len(_HALTON_BASES):
+        raise InvalidParams(f"Halton points need 1 or 2 dimensions, got {dim}")
+    table = np.empty((count, dim))
+    for j, base in enumerate(_HALTON_BASES[:dim]):
+        for i in range(count):
+            x, f, k = 0.0, 1.0 / base, i
+            while k:
+                k, r = divmod(k, base)
+                x += r * f
+                f /= base
+            table[i, j] = x
     table.setflags(write=False)
     return table
 

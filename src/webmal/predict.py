@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from .errors import (DimensionMismatch, InputError, InvalidParams, KeyMismatch,
                      NonFiniteInput, SingleClass, TooFewPositives,
@@ -366,16 +365,28 @@ class EvalReport:
 
 
 def auc_score(y_true: Sequence[int], scores: Sequence[float]) -> float:
-    """Rank-statistic AUC with midranks for ties."""
+    """Rank-statistic AUC with midranks for ties.
+
+    A tie group holding sorted positions start .. end-1 gets the midrank
+    (start + 1 + end) / 2, a half-integer and so exact in a float: the same
+    ranks as scipy's `rankdata(method="average")`, without loading
+    `scipy.stats`. Non-finite scores have no rank and are rejected."""
     y = np.asarray(y_true)
     s = np.asarray(scores, dtype=float)
     if len(y) != len(s):
         raise DimensionMismatch("labels and scores differ in length")
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteInput("scores contain non-finite values")
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("AUC needs both classes")
-    ranks = rankdata(s, method="average")
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(s)]
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     r_pos = float(np.sum(ranks[y == 1]))
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

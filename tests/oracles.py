@@ -12,11 +12,11 @@ import math
 import numpy as np
 from scipy.special import log_ndtr
 
-from .dga import FreqTable
-from .errors import InstanceTooLarge, InvalidParams
-from .heavytail.families import log_upper_gamma
-from .graph import PldGraph
-from .mdn import CooccurrenceGraph
+from webmal.dga import FreqTable
+from webmal.errors import InstanceTooLarge, InvalidParams
+from webmal.heavytail.families import log_upper_gamma
+from webmal.graph import PldGraph
+from webmal.mdn import CooccurrenceGraph
 
 _MAX_DENSE = 500
 _MAX_CUBIC = 200

@@ -24,8 +24,6 @@ from webmal.heavytail.fitting import FitResult, compare, ks_distance
 from webmal.mdn import build_cooccurrence, extract_mdns
 from webmal.metrics import (compute_node_metrics, connected_components,
                             degrees, hits, pagerank, triangle_counts)
-from webmal.oracles import (oracle_components, oracle_degrees, oracle_hits,
-                            oracle_jaccard, oracle_pagerank, oracle_triangles)
 from webmal.pipeline import RunConfig, run_pipeline
 from webmal.predict import assemble_features, run_stacked_experiment
 from webmal.psl import parse_psl
@@ -34,6 +32,9 @@ from webmal.reputation import (PldFileProfile, VerdictMatrix,
                                file_score_ratio, malicious_file_sets,
                                pld_dichotomy, pld_ratio_score, score_plds)
 from webmal.synthlab import default_spec, plant_crawl, sample, write_corpus
+
+from oracles import (oracle_components, oracle_degrees, oracle_hits,
+                     oracle_jaccard, oracle_pagerank, oracle_triangles)
 
 
 def _line(num: int, detail: str) -> None:

@@ -14,8 +14,9 @@ from webmal.dga import (DEFAULT_ALPHABET, FreqTable, classify_dga,
                         read_freq_table, registrable_label, score_pld_name,
                         train_freq_table, write_freq_table)
 from webmal.errors import EmptyCorpus, InputError, UntrainedTable
-from webmal.oracles import oracle_name_badness
 from webmal.synthlab import default_spec, plant_crawl
+
+from oracles import oracle_name_badness
 
 
 def idx(c):

@@ -8,8 +8,9 @@ import pytest
 from webmal.errors import EmptyInput, InputError
 from webmal import graph
 from webmal.graph import build_from_file, build_pld_graph, read_graph, write_graph
-from webmal.oracles import oracle_graph_recount
 from webmal.psl import parse_psl, extract_pld
+
+from oracles import oracle_graph_recount
 
 RULES = parse_psl("com\nnet\norg\nfi\ncn\ncom.cn\n")
 

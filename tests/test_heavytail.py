@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize as scipy_minimize
+from scipy.stats import qmc
 
 from webmal.errors import InvalidParams, OptimizerFailure, TooFewPoints
 from webmal.heavytail import (FAMILY_ORDER, CandidateSet, compare, estimate_xmin,
@@ -13,8 +14,9 @@ from webmal.heavytail import fitting
 from webmal.heavytail.families import _CF_SWITCH, FAMILIES
 from webmal.heavytail.fitting import (ALPHA_HI, ALPHA_LO, BETA_HI, MU_HI, MU_LO,
                                       SIGMA_HI, SIGMA_LO, _TailStats, minimize)
-from webmal.oracles import oracle_tail_loglik
 from webmal.synthlab import sample
+
+from oracles import oracle_tail_loglik
 
 # reference values computed with 30-digit arbitrary-precision arithmetic
 GAMMA_REFERENCE = [
@@ -209,6 +211,18 @@ def test_nelder_mead_takes_one_or_two_parameters():
     for x0 in ([], [0.1, 0.2, 0.3]):
         with pytest.raises(InvalidParams):
             minimize(_infeasible, x0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_halton_is_scipys_unscrambled_sequence(dim):
+    for count in [*range(65), 1000]:
+        table = fitting._halton(dim, count)
+        ref = qmc.Halton(d=dim, scramble=False).random(count)
+        assert table.shape == ref.shape
+        assert table.tobytes() == ref.tobytes()
+        assert not table.flags.writeable
+    with pytest.raises(InvalidParams):
+        fitting._halton(3, 4)
 
 
 # each family's parameter box, as a predicate on the decoded parameters

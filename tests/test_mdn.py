@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from webmal.errors import EmptyInput
 from webmal.mdn import (FileSets, build_cooccurrence, extract_mdns,
                         mdn_components, read_cooccurrence, write_cooccurrence)
-from webmal.oracles import oracle_jaccard, oracle_mdns
 from webmal.reputation import malicious_file_sets
 from webmal.synthlab import default_spec, plant_crawl
+
+from oracles import oracle_jaccard, oracle_mdns
 
 
 def test_identical_sets_weight_one():

@@ -4,11 +4,12 @@ import pytest
 from webmal.graph import PldGraph, build_pld_graph
 from webmal.metrics import (compute_node_metrics, connected_components, degrees,
                             hits, pagerank, triangle_counts)
-from webmal.oracles import (oracle_components, oracle_degrees, oracle_hits,
-                            oracle_pagerank, oracle_triangles,
-                            oracle_triangles_intersect)
 from webmal.psl import parse_psl
 from webmal.synthlab import default_spec, plant_crawl
+
+from oracles import (oracle_components, oracle_degrees, oracle_hits,
+                     oracle_pagerank, oracle_triangles,
+                     oracle_triangles_intersect)
 
 
 def make_graph(n, edges):

@@ -1,9 +1,11 @@
 """Feature assembly, split/balance, logistic model, stacking, evaluation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from webmal.errors import (DimensionMismatch, InputError, InvalidParams,
                            KeyMismatch, NonFiniteInput, SingleClass,
@@ -16,10 +18,11 @@ from webmal.predict import (ALEXA_SENTINEL_RANK, FEATURE_SETS, EvalReport,
                             read_alexa, read_model, run_stacked_experiment,
                             stacked_feature, stratified_split, train_logreg,
                             undersample, write_model)
-from webmal.oracles import oracle_logistic_loss, oracle_stacked_feature
 from webmal.predict import _gradient
 from webmal.psl import parse_psl
 from webmal.reputation import PldReputation
+
+from oracles import oracle_logistic_loss, oracle_stacked_feature
 
 
 def fake_sources(n=6, n_mal=2):
@@ -375,6 +378,29 @@ def test_auc_monotone_invariance():
     base = auc_score(y, s)
     assert auc_score(y, s ** 3) == pytest.approx(base, abs=1e-12)
     assert auc_score(y, 0.1 + 0.8 * s) == pytest.approx(base, abs=1e-12)
+
+
+def test_auc_matches_scipy_midranks_on_ties():
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        n = int(rng.integers(2, 300))
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        # few distinct values, so most scores are tied; signed zeros tie too
+        s = rng.integers(-3, int(rng.integers(1, 12)), size=n) / 7.0
+        s[rng.random(n) < 0.1] = -0.0
+        ranks = rankdata(s, method="average")
+        n_pos, n_neg = int(np.sum(y == 1)), int(np.sum(y == 0))
+        ref = (float(np.sum(ranks[y == 1])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert auc_score(y, s) == ref
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_auc_rejects_non_finite_scores(bad):
+    with pytest.raises(NonFiniteInput):
+        auc_score([0, 1], [bad, 0.5])
+    with pytest.raises(NonFiniteInput):
+        evaluate([0, 1], [bad, 0.5])
 
 
 def test_auc_single_class_error():
