@@ -117,10 +117,6 @@ class InfeasibleSpec(ConfigError):
     pass
 
 
-class InstanceTooLarge(InputError):
-    pass
-
-
 # reports
 
 class EmptyData(InputError):

@@ -41,6 +41,7 @@ from .families import (ALPHA_HI, ALPHA_LO, BETA_HI, FAMILIES, FAMILY_ORDER,
 
 DEFAULT_RESTARTS = 8
 MIN_TAIL = 10        # fewest tail points a fit accepts
+MIN_POINTS = 50      # fewest data points an x_min scan accepts
 SIGNIFICANCE = 0.01
 
 
@@ -375,7 +376,8 @@ def _candidate_xmins(values: np.ndarray, max_candidates: int) -> np.ndarray:
     return uniq[idx]
 
 
-def estimate_xmin(data, family: str, *, min_points: int = 50, max_candidates: int = 200,
+def estimate_xmin(data, family: str, *, min_points: int = MIN_POINTS,
+                  max_candidates: int = 200,
                   restarts: int = DEFAULT_RESTARTS) -> FitResult:
     """Joint x_min and parameter estimate minimizing the tail KS distance.
 
@@ -458,7 +460,7 @@ def compare(data, fit_f: FitResult, family_g: str, *,
 
 
 def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
-                      min_points: int = 50, max_candidates: int = 200,
+                      min_points: int = MIN_POINTS, max_candidates: int = 200,
                       restarts: int = DEFAULT_RESTARTS) -> CandidateSet:
     """Fit every family, eliminate pairwise, and pick a surviving family.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,7 @@ from .errors import ConfigError, InputError, WebmalError
 from .graph import (NODE_HEADER, PldGraph, build_from_file, read_graph,
                     write_graph)
 from .heavytail import select_candidates
+from .heavytail.fitting import MIN_POINTS
 from .mdn import (CooccurrenceGraph, build_cooccurrence, mdn_components,
                   read_cooccurrence, write_cooccurrence)
 from .metrics import NodeMetrics, compute_node_metrics, read_metrics, write_metrics
@@ -43,7 +44,7 @@ from .psl import load_psl
 from .reputation import (PldReputation, malicious_file_sets, read_observations,
                          read_reputation, read_verdicts, score_plds,
                          write_reputation)
-from .tables import read_json, read_table, write_json, write_table
+from .tables import decode, read_json, read_table, write_json, write_table
 
 WORKERS_ENV = "WEBMAL_WORKERS"
 
@@ -64,23 +65,6 @@ def _env_workers() -> int:
     return n
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# what a config value must be, by the annotation of its RunConfig field: a
-# JSON true or false is a bool and nothing else, and an integer is a float
-_JSON_TYPES: dict[str, tuple[Callable[[object], bool], str]] = {
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple))
-                        and all(isinstance(x, str) for x in v), "a list of strings"),
-}
-
-
 @dataclass
 class RunConfig:
     edges: str
@@ -97,7 +81,6 @@ class RunConfig:
     fit_features: tuple[str, ...] = ("num_pages", "indegree")
     fit_max_n: int = 50_000
     fit_restarts: int = 4
-    fit_min_points: int = 50
     split_seed: int = 0
     feature_set: str = "all"
     threshold: float = 0.5
@@ -126,8 +109,8 @@ class RunConfig:
         bad = [f for f in self.fit_features if f not in FIT_FEATURES]
         if bad:
             raise ConfigError(f"cannot fit non-count feature {bad[0]!r}")
-        if self.fit_max_n < self.fit_min_points:
-            raise ConfigError("fit_max_n must be >= fit_min_points")
+        if self.fit_max_n < MIN_POINTS:
+            raise ConfigError(f"fit_max_n must be >= {MIN_POINTS}")
         for name in ("pagerank_max_iter", "hits_max_iter", "fit_restarts",
                      "epochs", "workers"):
             if getattr(self, name) < 1:
@@ -137,21 +120,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        annotation = {f.name: f.type for f in fields(cls)}
-        unknown = set(d) - set(annotation)
-        if unknown:
-            raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-        for key, value in d.items():
-            accepts, kind = _JSON_TYPES[annotation[key]]
-            if not accepts(value):
-                raise ConfigError(f"{key} must be {kind}, not {value!r}")
-        if "fit_features" in d:
-            d = dict(d, fit_features=tuple(d["fit_features"]))
         try:
-            cfg = cls(**d)
-        except TypeError as exc:
-            raise ConfigError(f"incomplete config: {exc}") from exc
-        return cfg
+            return decode(cls, d)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_json(cls, path: str, overrides: dict | None = None) -> "RunConfig":
@@ -332,9 +304,9 @@ def _subsample_sorted(values: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _fit_unit(args: tuple) -> tuple[str, str, dict]:
-    feature, population, data, restarts, min_points = args
+    feature, population, data, restarts = args
     try:
-        out = fit_values(data, restarts=restarts, min_points=min_points)
+        out = fit_values(data, restarts=restarts)
     except WebmalError as exc:
         out = {"n": int(len(data)), "error": f"{type(exc).__name__}: {exc}",
                "histogram": _histogram(data)}
@@ -352,8 +324,7 @@ def _stage_fits(cfg: RunConfig, paths: dict) -> None:
                   "malicious": vals[pops == "malicious"]}
         for population, pop_vals in series.items():
             data = _subsample_sorted(pop_vals, cfg.fit_max_n)
-            units.append((feature, population, data, cfg.fit_restarts,
-                          cfg.fit_min_points))
+            units.append((feature, population, data, cfg.fit_restarts))
     if cfg.workers > 1 and len(units) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_fit_unit, units))
@@ -406,7 +377,7 @@ STAGES: tuple[Stage, ...] = (
     Stage("dga", (),
           lambda cfg, p: [p["graph_nodes.tsv"]],
           ("dga.tsv",), _stage_dga),
-    Stage("fits", ("fit_features", "fit_max_n", "fit_restarts", "fit_min_points"),
+    Stage("fits", ("fit_features", "fit_max_n", "fit_restarts"),
           lambda cfg, p: [p["metrics.tsv"], p["reputation.tsv"]],
           ("fits.json",), _stage_fits),
     Stage("cooccur", ("tau",),

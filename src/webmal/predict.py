@@ -66,8 +66,7 @@ class FeatureMatrix:
 
 def metric_column(metrics: NodeMetrics, feature: str) -> np.ndarray:
     """The float64 values of a metrics-table feature, in metrics.plds order."""
-    col = getattr(metrics, METRIC_COLUMNS[feature])
-    return np.zeros(len(metrics.plds)) if col is None else col.astype(float)
+    return getattr(metrics, METRIC_COLUMNS[feature]).astype(float)
 
 
 def assemble_features(metrics: NodeMetrics, reputation: list[PldReputation],

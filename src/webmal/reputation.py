@@ -28,8 +28,6 @@ from .errors import (EmptyProfile, EmptyVector, InputError, InvalidParams,
 from .mdn import FileSets
 from .tables import read_table, where, write_table
 
-DEFAULT_ENGINES = 56
-
 
 # ---------------------------------------------------------------------------
 # verdict matrix

@@ -22,8 +22,8 @@ plant_crawl builds a full crawl corpus with known ground truth:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Mapping
 
@@ -32,8 +32,9 @@ import numpy as np
 from .dga import DEFAULT_ALPHABET, default_wordlist
 from .errors import InfeasibleSpec, InputError, InvalidParams
 from .heavytail import make_distribution
-from .reputation import PldFileProfile, VerdictMatrix
-from .tables import read_json, write_json, write_table
+from .reputation import (PldFileProfile, VerdictMatrix, write_observations,
+                         write_verdicts)
+from .tables import decode, read_json, write_json, write_table
 
 
 def sample(family: str, params: dict[str, float], x_min: float, n: int,
@@ -58,15 +59,6 @@ class FamilySpec:
     def validate(self) -> None:
         make_distribution(self.family, dict(self.params), self.x_min)
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "params": dict(self.params),
-                "x_min": self.x_min}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FamilySpec":
-        return cls(family=d["family"], params=dict(d["params"]),
-                   x_min=float(d["x_min"]))
-
 
 @dataclass(frozen=True)
 class ClassPair:
@@ -74,15 +66,6 @@ class ClassPair:
 
     clean: FamilySpec
     malicious: FamilySpec
-
-    def to_dict(self) -> dict:
-        return {"clean": self.clean.to_dict(),
-                "malicious": self.malicious.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassPair":
-        return cls(clean=FamilySpec.from_dict(d["clean"]),
-                   malicious=FamilySpec.from_dict(d["malicious"]))
 
 
 @dataclass(frozen=True)
@@ -141,71 +124,17 @@ class SyntheticSpec:
             pair.malicious.validate()
         self.out_propensity.validate()
 
-    def to_json(self) -> str:
-        payload = {
-            "seed": self.seed, "n_plds": self.n_plds,
-            "malicious_fraction": self.malicious_fraction,
-            "pages": self.pages.to_dict(),
-            "indegree": self.indegree.to_dict(),
-            "files": self.files.to_dict(),
-            "out_propensity": self.out_propensity.to_dict(),
-            "d": self.d, "detections": list(self.detections),
-            "components": list(self.components),
-            "homophily": self.homophily,
-            "alexa_clean": self.alexa_clean,
-            "alexa_malicious": self.alexa_malicious,
-            "dga_fraction": self.dga_fraction,
-            "suffixes": list(self.suffixes),
-            "occurrences": list(self.occurrences),
-            "shared_clean_pool": self.shared_clean_pool,
-        }
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        spec = cls(
-            seed=int(d["seed"]), n_plds=int(d["n_plds"]),
-            malicious_fraction=float(d["malicious_fraction"]),
-            pages=ClassPair.from_dict(d["pages"]),
-            indegree=ClassPair.from_dict(d["indegree"]),
-            files=ClassPair.from_dict(d["files"]),
-            out_propensity=FamilySpec.from_dict(d["out_propensity"]),
-            d=int(d.get("d", 56)),
-            detections=_json_list(d, "detections", (1, 8), int),
-            components=_json_list(d, "components", (), int),
-            homophily=float(d.get("homophily", 0.0)),
-            alexa_clean=float(d.get("alexa_clean", 0.6)),
-            alexa_malicious=float(d.get("alexa_malicious", 0.15)),
-            dga_fraction=float(d.get("dga_fraction", 0.8)),
-            suffixes=_json_list(d, "suffixes", ("com", "net", "org"), str),
-            occurrences=_json_list(d, "occurrences", (1, 3), int),
-            shared_clean_pool=float(d.get("shared_clean_pool", 0.1)),
-        )
-        spec.validate()
-        return spec
-
-
-def _json_list(d: dict, key: str, default: tuple, kind: type) -> tuple:
-    """d[key] as a tuple, if it is a list whose elements are all of kind (a
-    bool is no int); default when the key is absent. Raises TypeError."""
-    value = d.get(key, default)
-    if not isinstance(value, (list, tuple)) or not all(
-            isinstance(v, kind) and not isinstance(v, bool) for v in value):
-        raise TypeError(f"{key} must be a list of {kind.__name__}s, not {value!r}")
-    return tuple(value)
-
 
 def read_spec(path: str) -> SyntheticSpec:
-    """The spec in a JSON file such as the spec.json of write_corpus; a
-    missing key or a value of the wrong type is an InputError naming the
-    file."""
-    d = read_json(path)
+    """The spec in a JSON file such as the spec.json of write_corpus, decoded
+    by `tables.decode`; a missing or unknown key, a value of the wrong type
+    or a value no float holds is an InputError naming the file."""
     try:
-        return SyntheticSpec.from_dict(d)
-    except KeyError as exc:
-        raise InputError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+        spec = decode(SyntheticSpec, read_json(path))
+        spec.validate()
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from None
+    return spec
 
 
 def default_spec(seed: int, n_plds: int = 2000, **overrides) -> SyntheticSpec:
@@ -497,10 +426,6 @@ def plant_crawl(spec: SyntheticSpec) -> Corpus:
 
 def write_corpus(corpus: Corpus, out_dir: str) -> dict[str, str]:
     """Write the corpus in the pipeline's ingestion formats; returns paths."""
-    import os
-
-    from .reputation import write_observations, write_verdicts
-
     os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, fname) for name, fname in [
         ("edges", "edges.tsv"), ("observations", "observations.tsv"),
@@ -522,11 +447,10 @@ def write_corpus(corpus: Corpus, out_dir: str) -> dict[str, str]:
         "components": corpus.components,
         "planted_pages": corpus.planted_pages,
         "planted_indegree": corpus.planted_indegree,
-        "pages": corpus.spec.pages.to_dict(),
-        "indegree": corpus.spec.indegree.to_dict(),
+        "pages": asdict(corpus.spec.pages),
+        "indegree": asdict(corpus.spec.indegree),
     }
     write_json(truth, paths["truth"])
-    with open(paths["spec"], "w") as fh:
-        fh.write(corpus.spec.to_json())
+    write_json(asdict(corpus.spec), paths["spec"])
     return paths
 

@@ -1,5 +1,6 @@
 """One reader and one writer for every tab-separated table the pipeline
-reads or writes, and the reader and writer of every JSON file.
+reads or writes, the reader and writer of every JSON file, and the one
+decoder (`decode`) of the JSON objects that configure a run or a corpus.
 
 The rules are the same for every table. A table the pipeline writes starts
 with its exact header line; an external input has no header. A float cell
@@ -15,13 +16,18 @@ never a part of one. There is no fsync, so a power loss still can.
 
 from __future__ import annotations
 
+import collections.abc
 import contextlib
+import dataclasses
+import functools
 import gzip
 import itertools
 import json
 import os
+import types
+import typing
 import warnings
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -103,6 +109,103 @@ def read_json(path: str) -> dict:
         raise InputError(f"{path}: expected a JSON object, got "
                          f"{type(payload).__name__}")
     return payload
+
+
+def decode(cls, obj):
+    """An instance of the dataclass `cls` built from the JSON object `obj`,
+    each value checked against its field's annotation:
+
+    * `bool` is true or false, and `int` an integer that is not one;
+    * `float` is a number, and an integer is kept as given;
+    * `str` is a string, and `X | None` is X or null;
+    * `tuple[T, ...]`, or a fixed `tuple[T, T]`, is a list (or a tuple) of T,
+      and becomes a tuple;
+    * `Mapping[str, T]` is an object of T;
+    * a nested dataclass is an object, decoded by the same rules.
+
+    A key that names no field, a missing field without a default, or a value
+    of the wrong type raises ValueError naming the first such key by its
+    path (`pages.clean.x_min`). A field annotated otherwise raises TypeError,
+    whatever `obj` holds.
+    """
+    return _object(cls, obj, "")
+
+
+def _object(cls, obj, key: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{key or 'the top-level value'} must be an object, "
+                         f"not {obj!r}")
+    prefix = key + "." if key else ""
+    fields = _fields(cls)
+    unknown = sorted(obj.keys() - fields.keys())
+    if unknown:
+        raise ValueError(f"unknown key {prefix + unknown[0]!r}")
+    kwargs = {}
+    for name, (value_of, required) in fields.items():
+        if name in obj:
+            kwargs[name] = value_of(obj[name], prefix + name)
+        elif required:
+            raise ValueError(f"missing key {prefix + name!r}")
+    return cls(**kwargs)
+
+
+@functools.cache
+def _fields(cls) -> dict[str, tuple[Callable[[object, str], object], bool]]:
+    """Each field's decoder and whether the field has no default."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (_decoder(hints[f.name]),
+                     f.default is dataclasses.MISSING
+                     and f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(cls)}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# a scalar annotation: its test, one value of it, several
+_SCALARS: dict[type, tuple[Callable[[object], bool], str, str]] = {
+    bool: (lambda v: isinstance(v, bool), "true or false", "booleans"),
+    int: (_is_int, "an integer", "integers"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "a number", "numbers"),
+    str: (lambda v: isinstance(v, str), "a string", "strings"),
+}
+
+
+def _decoder(hint) -> Callable[[object, str], object]:
+    """The decoder of one annotation: (value, key) in, the field's value out."""
+    if dataclasses.is_dataclass(hint):
+        _fields(hint)
+        return lambda v, key: _object(hint, v, key)
+    test, kind = _rule(hint)
+
+    def value_of(v, key: str):
+        if not test(v):
+            raise ValueError(f"{key} must be {kind}, not {v!r}")
+        return tuple(v) if isinstance(v, list) else v
+    return value_of
+
+
+def _rule(hint) -> tuple[Callable[[object], bool], str]:
+    """The test and the description of a non-dataclass annotation."""
+    if hint in _SCALARS:
+        return _SCALARS[hint][:2]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType and len(args) == 2 and type(None) in args:
+        test, kind = _rule(args[args[0] is type(None)])
+        return (lambda v: v is None or test(v)), f"{kind} or null"
+    if origin is tuple and args and args[0] in _SCALARS \
+            and set(args) <= {args[0], ...}:
+        test, _, many = _SCALARS[args[0]]
+        n = None if args[-1] is ... else len(args)   # tuple[T, ...] or n Ts
+        return (lambda v: isinstance(v, (list, tuple)) and all(map(test, v))
+                and (n is None or len(v) == n),
+                f"a list of {many}" if n is None else f"a list of {n} {many}")
+    if origin is collections.abc.Mapping and args[0] is str and args[1] in _SCALARS:
+        test, _, many = _SCALARS[args[1]]
+        return (lambda v: isinstance(v, dict) and all(map(test, v.values())),
+                f"an object of {many}")
+    raise TypeError(f"no JSON rule for the annotation {hint!r}")
 
 
 @contextlib.contextmanager

@@ -13,10 +13,14 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from webmal.dga import FreqTable
-from webmal.errors import InstanceTooLarge, InvalidParams
+from webmal.errors import InputError, InvalidParams
 from webmal.heavytail.families import log_upper_gamma
 from webmal.graph import PldGraph
 from webmal.mdn import CooccurrenceGraph
+
+class InstanceTooLarge(InputError):
+    """An instance above an oracle's size cap."""
+
 
 _MAX_DENSE = 500
 _MAX_CUBIC = 200

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ def corpus(tmp_path_factory):
     spec = default_spec(seed=881, n_plds=220, malicious_fraction=0.12,
                         components=(3, 2))
     spec_path = root / "spec.json"
-    spec_path.write_text(spec.to_json())
+    spec_path.write_text(json.dumps(asdict(spec)))
     out = root / "corpus"
     assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
     return str(out)
@@ -471,7 +472,7 @@ def test_truncated_json_input_names_its_line(tmp_path, run_config, capsys, name)
 
 @pytest.mark.parametrize("name, text, message", [
     ("synth-spec", "{}", "missing key 'seed'"),
-    ("synth-spec", '{"seed": 1, "n_plds": "x"}', "invalid literal for int()"),
+    ("synth-spec", '{"seed": 1, "n_plds": "x"}', "n_plds must be an integer, not 'x'"),
     ("dga-table", "[1]", "expected a JSON object, got list"),
     ("dga-table", '{"alphabet": 5, "counts": [], "smoothing": 0}',
      "object of type 'int' has no len()"),
@@ -492,8 +493,9 @@ def test_malformed_json_input_is_input_error(tmp_path, run_config, capsys, name,
     ("fit_features", ["indegree", 1], "fit_features must be a list of strings"),
     ("strict_hosts", "no", "strict_hosts must be true or false, not 'no'"),
     ("alexa", 3, "alexa must be a string or null, not 3"),
+    ("fit_min_points", 50, "unknown key 'fit_min_points'"),
 ], ids=["tau-str", "epochs-str", "epochs-bool", "fit_features-int",
-        "fit_features-mixed", "strict_hosts-str", "alexa-int"])
+        "fit_features-mixed", "strict_hosts-str", "alexa-int", "removed-key"])
 def test_config_value_of_the_wrong_type_is_config_error(tmp_path, corpus, capsys,
                                                          key, value, message):
     cfg = {name: os.path.join(corpus, f) for name, f in (
@@ -554,17 +556,48 @@ def test_verdict_row_with_another_d_names_its_line(tmp_path, corpus, capsys):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("components", [1.5], "components must be a list of ints, not [1.5]"),
-    ("components", 3, "components must be a list of ints, not 3"),
-    ("detections", [1, True], "detections must be a list of ints"),
-    ("suffixes", "com", "suffixes must be a list of strs, not 'com'"),
-    ("suffixes", ["com", 7], "suffixes must be a list of strs"),
+    ("components", [1.5], "components must be a list of integers, not [1.5]"),
+    ("components", 3, "components must be a list of integers, not 3"),
+    ("detections", [1, True], "detections must be a list of 2 integers"),
+    ("suffixes", "com", "suffixes must be a list of strings, not 'com'"),
+    ("suffixes", ["com", 7], "suffixes must be a list of strings"),
 ], ids=["components-float", "components-int", "detections-bool",
         "suffixes-str", "suffixes-mixed"])
 def test_synth_spec_list_of_the_wrong_type_is_input_error(tmp_path, capsys, key,
                                                          value, message):
-    spec = json.loads(default_spec(seed=3, n_plds=60).to_json())
+    spec = asdict(default_spec(seed=3, n_plds=60))
     spec[key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "c")]) == 1
+    assert f"input error: {path}: {message}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "c")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s.update(seed=3.7), "seed must be an integer, not 3.7"),
+    (lambda s: s.update(d=56.9), "d must be an integer, not 56.9"),
+    (lambda s: s.update(n_plds="60"), "n_plds must be an integer, not '60'"),
+    (lambda s: s.update(homophily=True), "homophily must be a number, not True"),
+    (lambda s: s["pages"]["clean"].update(x_min="4"),
+     "pages.clean.x_min must be a number, not '4'"),
+    (lambda s: s.update(bogus=1), "unknown key 'bogus'"),
+    (lambda s: s["indegree"]["malicious"].update(bogus=1),
+     "unknown key 'indegree.malicious.bogus'"),
+    (lambda s: s["files"].pop("clean"), "missing key 'files.clean'"),
+    (lambda s: s.update(detections=[1, 2, 3]),
+     "detections must be a list of 2 integers, not [1, 2, 3]"),
+    (lambda s: s["out_propensity"].update(params={"alpha": "2"}),
+     "out_propensity.params must be an object of numbers, not {'alpha': '2'}"),
+    (lambda s: s["pages"]["clean"].update(x_min=10 ** 400),
+     "int too large to convert to float"),
+], ids=["seed-float", "d-float", "n_plds-str", "homophily-bool", "x_min-str",
+        "unknown-key", "unknown-nested-key", "missing-nested-key",
+        "detections-three", "params-str", "x_min-too-large"])
+def test_synth_spec_value_of_the_wrong_type_is_input_error(tmp_path, capsys, edit,
+                                                           message):
+    spec = asdict(default_spec(seed=3, n_plds=60))
+    edit(spec)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "c")]) == 1

@@ -312,8 +312,12 @@ def test_config_validation(tmp_path, corpus_dir):
     with pytest.raises(ConfigError):
         make_config(corpus_dir, str(tmp_path / "x"),
                     fit_features=("pagerank",)).validate()
+    with pytest.raises(ConfigError, match="fit_max_n must be >= 50"):
+        make_config(corpus_dir, str(tmp_path / "x"), fit_max_n=49).validate()
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"edges": "e", "bogus_key": 1})
+    with pytest.raises(ConfigError, match="missing key 'psl'"):
+        RunConfig.from_dict({"edges": "e"})
 
 
 def test_config_from_json_with_overrides(tmp_path, corpus_dir):

@@ -1,6 +1,8 @@
 """Sampler correctness and planted-corpus round trips."""
 
 import json
+import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from webmal.psl import parse_psl
 from webmal.reputation import malicious_file_sets, score_plds
 from webmal.synthlab import (ClassPair, FamilySpec, SyntheticSpec, default_spec,
                              plant_crawl, read_spec, sample, write_corpus)
-from webmal.tables import read_table
+from webmal.tables import decode, read_table
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +87,7 @@ def test_sample_deterministic_and_validates():
 
 def test_spec_json_roundtrip():
     spec = default_spec(seed=11, n_plds=500, components=(4, 3, 3))
-    again = SyntheticSpec.from_dict(json.loads(spec.to_json()))
+    again = decode(SyntheticSpec, json.loads(json.dumps(asdict(spec))))
     assert again == spec
 
 
@@ -204,6 +206,16 @@ def test_corpus_files_parse_back(tmp_path):
     truth = json.loads(open(paths["truth"]).read())
     assert truth["n_malicious"] == spec.n_malicious
     assert read_spec(paths["spec"]) == spec
+
+
+def test_every_corpus_file_is_written_through_a_rename(tmp_path, monkeypatch):
+    renamed = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace",
+                        lambda src, dst: (renamed.append(dst), replace(src, dst)))
+    paths = write_corpus(plant_crawl(default_spec(2, n_plds=60)), str(tmp_path))
+    assert sorted(renamed) == sorted(paths.values())
+    assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, paths.values()))
 
 
 def test_psl_text_is_the_written_psl(tmp_path):

@@ -2,10 +2,12 @@
 every table."""
 
 import argparse
+import dataclasses
 import gzip
 import json
 import os
 import warnings
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from webmal.metrics import METRICS_HEADER, read_metrics
 from webmal.predict import read_alexa, read_features
 from webmal.reputation import (REPUTATION_HEADER, read_observations,
                                read_reputation, read_verdicts)
-from webmal.tables import (_read_rows, read_json, read_table, write_json,
+from webmal.synthlab import ClassPair, FamilySpec, SyntheticSpec
+from webmal.tables import (_read_rows, decode, read_json, read_table, write_json,
                            write_table)
 
 _NODES = "pld\tnode_id\tpage_count\na.com\t0\t2\nb.com\t1\t1\n"
@@ -231,3 +234,76 @@ def test_malformed_json_names_its_line(tmp_path, raw, message):
     with pytest.raises(InputError) as exc:
         read_json(str(path))
     assert str(exc.value).startswith(f"{path}{message}")
+
+
+# ---------------------------------------------------------------------------
+# the JSON object decoder
+
+@dataclasses.dataclass
+class _Inner:
+    n: int
+    tags: tuple[str, ...] = ()
+
+
+@dataclasses.dataclass
+class _Outer:
+    inner: _Inner
+    x: float = 0.5
+    flag: bool = False
+    name: str | None = None
+    pair: tuple[int, int] = (1, 2)
+    weights: Mapping[str, float] = dataclasses.field(default_factory=dict)
+
+
+@dataclasses.dataclass
+class _Unsupported:
+    values: set[int] = dataclasses.field(default_factory=set)
+
+
+def test_decode_keeps_each_value_as_given():
+    got = decode(_Outer, {"inner": {"n": 3, "tags": ["a", "b"]}, "x": 2,
+                          "flag": True, "name": None, "pair": [4, 5],
+                          "weights": {"a": 1, "b": 0.25}})
+    assert got == _Outer(_Inner(3, ("a", "b")), 2, True, None, (4, 5),
+                         {"a": 1, "b": 0.25})
+    assert type(got.x) is int       # an integer is a number, kept as given
+    assert decode(_Outer, {"inner": {"n": 1}, "pair": (6, 7)}).pair == (6, 7)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"inner": {"n": True}}, "inner.n must be an integer, not True"),
+    ({"inner": {"n": 1.0}}, "inner.n must be an integer, not 1.0"),
+    ({"inner": {"n": 1}, "x": False}, "x must be a number, not False"),
+    ({"inner": {"n": 1}, "flag": 1}, "flag must be true or false, not 1"),
+    ({"inner": {"n": 1}, "name": 3}, "name must be a string or null, not 3"),
+    ({"inner": {"n": 1}, "pair": [1]}, "pair must be a list of 2 integers, not [1]"),
+    ({"inner": {"n": 1, "tags": "ab"}},
+     "inner.tags must be a list of strings, not 'ab'"),
+    ({"inner": {"n": 1}, "weights": {"a": None}},
+     "weights must be an object of numbers, not {'a': None}"),
+    ({"inner": [1]}, "inner must be an object, not [1]"),
+    ({"inner": {"n": 1}, "z": 0, "y": 0}, "unknown key 'y'"),
+    ({"inner": {"n": 1, "m": 0}}, "unknown key 'inner.m'"),
+    ({"inner": {}}, "missing key 'inner.n'"),
+    ({}, "missing key 'inner'"),
+], ids=["bool-int", "float-int", "bool-number", "int-bool", "int-str-or-null",
+        "short-pair", "str-list", "null-mapping", "list-object", "unknown",
+        "unknown-nested", "missing-nested", "missing"])
+def test_decode_names_the_first_bad_key(obj, message):
+    with pytest.raises(ValueError) as exc:
+        decode(_Outer, obj)
+    assert str(exc.value) == message
+
+
+def test_decode_rejects_an_unsupported_annotation_for_any_object():
+    with pytest.raises(TypeError):
+        decode(_Unsupported, {})
+
+
+@pytest.mark.parametrize("cls", [pipeline.RunConfig, SyntheticSpec, ClassPair,
+                                 FamilySpec])
+def test_every_json_object_field_has_a_decoder_rule(cls):
+    """A field of an unsupported type would be a TypeError here, before any
+    value is read; a missing key is what the empty object lacks."""
+    with pytest.raises(ValueError, match="missing key"):
+        decode(cls, {})
