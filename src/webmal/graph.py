@@ -51,6 +51,33 @@ class PldGraph:
                              shape=(self.n_nodes, self.n_nodes))
 
 
+def weak_components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component labels of the n nodes joined by the edges u[i] -- v[i],
+    dense 0..k-1 in order of each component's smallest member.
+
+    Hooking and pointer jumping (Shiloach & Vishkin 1982): every node points
+    at a node no larger than itself, a root at itself. Each round, every edge
+    whose ends have different roots hooks the larger root onto the smaller
+    one, and jumping then points every node at its root. An edge is held as
+    the roots of its ends, and drops out once they are one. A root is thus
+    its component's smallest member. Edge direction, repeats and self-loops
+    do not matter.
+    """
+    label = np.arange(n)
+    while True:
+        cross = u != v
+        u, v = u[cross], v[cross]
+        if not len(u):
+            return np.unique(label, return_inverse=True)[1]
+        np.minimum.at(label, np.maximum(u, v), np.minimum(u, v))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        u, v = label[u], label[v]
+
+
 def build_pld_graph(page_edges: Iterable[Sequence[str]], rules: SuffixRules,
                     strict: bool = False) -> PldGraph:
     """Aggregate an iterable of (src_url, dst_url) pairs into a PLD graph.

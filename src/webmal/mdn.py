@@ -7,9 +7,9 @@ the malware distribution networks, reported largest first.
 
 The graph work runs on integer ids: PLD ids follow sorted PLD names and file
 ids sorted file hashes. One sparse product B @ B.T of the PLD x file
-incidence matrix B counts the shared files of every PLD pair, scipy's
-connected_components labels the components, and names come back only when a
-table is written or a component is reported.
+incidence matrix B counts the shared files of every PLD pair,
+`graph.weak_components` labels the components, and names come back only when
+a table is written or a component is reported.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components as _cs_components
 
 from .errors import EmptyInput
+from .graph import weak_components
 from .tables import read_table, write_table
 
 
@@ -165,13 +165,12 @@ def extract_mdns(g: CooccurrenceGraph) -> list[ComponentSummary]:
     sets, n = g.file_sets, g.n_nodes
     if n == 0:
         return []
-    n_comp, label = _cs_components(
-        sp.csr_matrix((np.ones(g.n_edges), (g.a, g.b)), shape=(n, n)),
-        directed=False)
-    size = np.bincount(label, minlength=n_comp)
+    label = weak_components(n, g.a, g.b)
+    size = np.bincount(label)
+    n_comp = len(size)
     members = np.argsort(label, kind="stable")     # ids ascend in each component
     start = np.cumsum(size) - size
-    order = np.lexsort((members[start], -size))
+    order = np.argsort(-size, kind="stable")       # labels follow smallest members
 
     edge_label = label[g.a]
     n_weights = np.bincount(edge_label, minlength=n_comp)

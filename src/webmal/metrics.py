@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components as _cs_components
 
 from .errors import InputError
-from .graph import PldGraph
+from .graph import PldGraph, weak_components
 from .tables import read_table, where, write_table
 
 log = logging.getLogger(__name__)
@@ -169,18 +168,16 @@ def triangle_counts(g: PldGraph) -> np.ndarray:
 def connected_components(g: PldGraph) -> np.ndarray:
     """Weak component ids, dense 0..k-1, ordered by decreasing size then
     smallest member id."""
-    A = g.adjacency()
-    _, raw = _cs_components(A, directed=True, connection="weak")
-    return _relabel_components(raw)
+    return _relabel_components(weak_components(g.n_nodes, g.edge_src, g.edge_dst))
 
 
 def _relabel_components(raw: np.ndarray) -> np.ndarray:
-    # scipy's labels are dense 0..k-1: unique() gives each label's first member
-    first_member = np.unique(raw, return_index=True)[1]
-    k = len(first_member)
-    order = np.lexsort((first_member, -np.bincount(raw, minlength=k)))
-    remap = np.empty(k, dtype=np.int64)
-    remap[order] = np.arange(k)
+    # weak_components labels are dense 0..k-1 in smallest-member order, so a
+    # stable sort by decreasing size breaks ties by smallest member
+    size = np.bincount(raw)
+    order = np.argsort(-size, kind="stable")
+    remap = np.empty(len(size), dtype=np.int64)
+    remap[order] = np.arange(len(size))
     return remap[raw]
 
 

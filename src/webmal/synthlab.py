@@ -127,12 +127,13 @@ class SyntheticSpec:
 
 def read_spec(path: str) -> SyntheticSpec:
     """The spec in a JSON file such as the spec.json of write_corpus, decoded
-    by `tables.decode`; a missing or unknown key, a value of the wrong type
-    or a value no float holds is an InputError naming the file."""
+    by `tables.decode`; a missing or unknown key, a value of the wrong type,
+    a value no float holds or a value out of its range is an InputError
+    naming the file."""
     try:
         spec = decode(SyntheticSpec, read_json(path))
         spec.validate()
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, InfeasibleSpec, InvalidParams) as exc:
         raise InputError(f"{path}: {exc}") from None
     return spec
 

@@ -603,3 +603,20 @@ def test_synth_spec_value_of_the_wrong_type_is_input_error(tmp_path, capsys, edi
     assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "c")]) == 1
     assert f"input error: {path}: {message}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "c")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s.update(homophily=2.0), "homophily must be in [0,1]"),
+    (lambda s: s["pages"]["clean"].update(x_min=float("nan")),
+     "x_min must be positive"),
+    (lambda s: s["files"]["malicious"].update(family="bogus"),
+     "unknown family 'bogus'"),
+], ids=["homophily-above-one", "x_min-nan", "family-unknown"])
+def test_synth_spec_value_out_of_range_is_input_error(tmp_path, capsys, edit, message):
+    spec = asdict(default_spec(seed=3, n_plds=60))
+    edit(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "c")]) == 1
+    assert f"input error: {path}: {message}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "c")

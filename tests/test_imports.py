@@ -8,8 +8,11 @@ import webmal
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(webmal.__file__)))
 
-# scipy.stats costs about 35 MB and 0.6 s per process, and pulls in these
-HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.interpolate")
+# scipy.stats costs about 35 MB and 0.6 s per process, and pulls in the next
+# three; scipy.sparse.csgraph costs about 9 MB of RSS per process, and pulls in
+# scipy.sparse.linalg and scipy.linalg
+HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.interpolate",
+         "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
 
 # imports every webmal module the way the benchmark worker does
 IMPORT_ALL = """
