@@ -1,5 +1,6 @@
 """Sampler correctness and planted-corpus round trips."""
 
+import hashlib
 import json
 import os
 from dataclasses import asdict
@@ -185,6 +186,87 @@ def test_corpus_bytes_identical_per_seed(tmp_path):
     for name in p1:
         with open(p1[name], "rb") as fa, open(p2[name], "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+# Corpus bytes depend on the spec alone. These sha256 digests of the eight
+# written files pin them, so a change to plant_crawl or write_corpus that
+# moves a random draw or a byte fails here. `stall` plants every in-degree
+# at its cap n - 1 from a power-law propensity with alpha 1.05, whose
+# weights are so concentrated that rejection cannot reach the lightest
+# sources: _distinct_weighted ends in its scan fallback for most targets.
+_DEEP = FamilySpec("exponential", {"lambda": 0.5}, 60.0)
+GOLDEN_SPECS = {
+    "components": lambda: default_spec(seed=42, n_plds=300, malicious_fraction=0.1,
+                                       components=(5, 4, 3, 2)),
+    "no-homophily": lambda: default_spec(seed=7, n_plds=200, homophily=0.0,
+                                         components=(3,), suffixes=("co.uk", "com")),
+    "all-malicious": lambda: default_spec(seed=9, n_plds=120, malicious_fraction=1.0,
+                                          components=(10, 5)),
+    "stall": lambda: default_spec(
+        seed=5, n_plds=40, indegree=ClassPair(clean=_DEEP, malicious=_DEEP),
+        out_propensity=FamilySpec("power_law", {"alpha": 1.05}, 1.0)),
+}
+GOLDEN_DIGESTS = {
+    "components": {
+        "alexa": "f8863fd75e6a1bd089668ef9f6eececca7d0ffa71c1b4600789587e0c21e30e4",
+        "edges": "f341239993d07b4f4e6ec1aa59f50d90e5193654410641a28c770d78107cfc84",
+        "labels": "ac3653370494797afe7693a3f91c32f8a4d01a3da8c3b764e2aaf625fb9774cf",
+        "observations": "f628ab5fcf12b647cc5037c6f5337f3cccd9a976f54f5b17a3e67a6d8d7a2b27",
+        "psl": "bfeb6f2eb443c025ad92e9d2a54d660ef78b05f02aef6d4f2c311930a385cfc1",
+        "spec": "8ee5eb90944a34cb618092bb0d4deff6d3f675d18d905424d950c68c89ef2dee",
+        "truth": "52192e11cd1c04cdfe1c40af918115907611e22595939a7594ba1fb3c7f45ac5",
+        "verdicts": "ded73c12d2b89a6249e18a48be4e58fa334a9beb63b774fdf937b96c28a9a035",
+    },
+    "no-homophily": {
+        "alexa": "59a5d588e6f1d3a8db70ce6b202ca15f2e2a685dd7660b13ef453444612b1483",
+        "edges": "94033ca90903a8999351787a3758dd91cf99c5c524770561a99ef5773c1f8fa5",
+        "labels": "33fb3b35514463c83f0dada362908bc3397e5dedc255a05693be2a2cdb3b75e2",
+        "observations": "8b041fdb712a9f8b141d83aeeb5fa34a13dc4f0ab0535d70df7429782af7460d",
+        "psl": "f0d61ea0e163678ac7ea5315a22d3591b78014f0e08694bfc43faf24e34537ba",
+        "spec": "3415accb9d900c86738d4cf35ecbcfaa8b7c4c7779564b06e95076de2fdac72a",
+        "truth": "b1509674a3ee13156a4e36b6fbc1aac3177135aa95c4030e3b6b70d9b0d1b49e",
+        "verdicts": "45fffe2f4fd818ff41475710c7771ddb0423e0c82cc17ff680b6b0463df530a2",
+    },
+    "all-malicious": {
+        "alexa": "6a104c3c02825c1eae876f9ddceb9cd88b06e21920b83d7e367dc09d58caa086",
+        "edges": "c71a865a9746dd5cfc49866cb3efe4a8badb142bba4ab56ee82dc25934e48819",
+        "labels": "618359df192e9f68d77432c7e472037971237d0904472cff1f4f046aa0654bf0",
+        "observations": "f6a5352b929501f0eb7b61474de496d910b0c7720afde88f85d018ae8a4c15d7",
+        "psl": "bfeb6f2eb443c025ad92e9d2a54d660ef78b05f02aef6d4f2c311930a385cfc1",
+        "spec": "3b210ff32fa477243a806001a1882c0815945b981ee0184630fcedc8b18642dd",
+        "truth": "b83eef756bf2537257760c3a85d9de31c469a91bc122d892943e890777fa61fb",
+        "verdicts": "488fc47b3b345149827793adfa433afbc1001164d163c3d0f87e62e472a26f6b",
+    },
+    "stall": {
+        "alexa": "0b542bb3ac271f7cd229cf7c6584c62e020b7553603580efe13d52c7aa0592d4",
+        "edges": "bb2b240d0a306af0faa9a3f32cbe55c1a4e64fb6caaa432dcf60982577b0e10c",
+        "labels": "55afc5e6fd4ec8daa42aca15639289d1452317a3c076eb08c3a23dfde9f686e6",
+        "observations": "f9963c995752c4c560963705af70ca1a71fdcac6b44e1bd0269a96b43cb2ecf0",
+        "psl": "bfeb6f2eb443c025ad92e9d2a54d660ef78b05f02aef6d4f2c311930a385cfc1",
+        "spec": "d4bee260baf0d199f7dbb674b63796e25e4edcb482f1bf476529baf78b79e73d",
+        "truth": "a19c6a9b9717d64fb470ed1046b5ab46368dc900cc8e24a6ad04f81009245bd4",
+        "verdicts": "e6b6b356511ff466df138505c963158fbe6752f3f27c08638558e864999d0077",
+    },
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SPECS)
+def test_corpus_bytes_match_golden_digests(tmp_path, name):
+    corpus = plant_crawl(GOLDEN_SPECS[name]())
+    paths = write_corpus(corpus, str(tmp_path))
+    got = {}
+    for key, path in paths.items():
+        with open(path, "rb") as fh:
+            got[key] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == GOLDEN_DIGESTS[name]
+
+
+def test_stall_spec_links_every_pld_to_every_other():
+    corpus = plant_crawl(GOLDEN_SPECS["stall"]())
+    n = corpus.spec.n_plds
+    assert set(corpus.planted_indegree.values()) == {n - 1}
+    g = build_pld_graph(corpus.edges, parse_psl(corpus.psl_text))
+    assert g.n_edges == n * n
 
 
 def test_corpus_files_parse_back(tmp_path):
