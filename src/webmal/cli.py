@@ -155,7 +155,7 @@ def cmd_synth(args) -> None:
     spec = read_spec(args.spec)
     corpus = plant_crawl(spec)
     paths = write_corpus(corpus, args.out)
-    print(f"{spec.n_plds} PLDs, {len(corpus.edges)} page edges -> {args.out}")
+    print(f"{spec.n_plds} PLDs, {len(corpus.sources)} page edges -> {args.out}")
     for name in sorted(paths):
         print(f"  {name}: {paths[name]}")
 

@@ -18,13 +18,18 @@ plant_crawl builds a full crawl corpus with known ground truth:
   malicious files; all other malicious files are private to one PLD, and
   clean PLDs never host a flagged file, so dichotomies and component
   memberships round-trip exactly.
+
+The bytes write_corpus writes depend on the spec alone: each part of the
+corpus draws from its own seeded stream, in a fixed order, and
+`tests/test_synthlab.py` pins the sha256 of every file for four specs.
+A Corpus keeps its page edges as two URL columns, `sources` and `targets`,
+which write_corpus writes as they are; `edges` zips them into pairs.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -32,6 +37,7 @@ import numpy as np
 from .dga import DEFAULT_ALPHABET, default_wordlist
 from .errors import InfeasibleSpec, InputError, InvalidParams
 from .heavytail import make_distribution
+from .psl import extract_pld, parse_psl
 from .reputation import (PldFileProfile, VerdictMatrix, write_observations,
                          write_verdicts)
 from .tables import decode, read_json, write_json, write_table
@@ -119,10 +125,28 @@ class SyntheticSpec:
             raise InfeasibleSpec("occurrence range must satisfy 1 <= lo <= hi")
         if not self.suffixes:
             raise InfeasibleSpec("need at least one suffix")
+        for suffix in self.suffixes:
+            _check_suffix(suffix)
         for pair in (self.pages, self.indegree, self.files):
             pair.clean.validate()
             pair.malicious.validate()
         self.out_propensity.validate()
+
+
+def _check_suffix(suffix: str) -> None:
+    """A suffix must be one plain public suffix rule (no `*`, no `!`) under
+    which a planted host `x.<suffix>` is its own PLD. That rejects an empty
+    or uppercase suffix too: `""`, `COM` or `.com` would plant a corpus whose
+    truth does not round-trip."""
+    host = f"x.{suffix}"
+    try:
+        ok = not set(suffix) & set("*!") and extract_pld(
+            f"http://{host}/p0", parse_psl(suffix), strict=True) == host
+    except InputError:
+        ok = False
+    if not ok:
+        raise InfeasibleSpec(
+            f"suffix {suffix!r} must be a non-empty, lowercase, plain public suffix rule")
 
 
 def read_spec(path: str) -> SyntheticSpec:
@@ -171,13 +195,19 @@ class Corpus:
     spec: SyntheticSpec
     plds: list[str]                       # index-aligned with labels
     labels: dict[str, str]                # pld -> "clean" | "malicious"
-    edges: list[tuple[str, str]]          # page URL pairs
+    sources: list[str]                    # page edges as two URL columns
+    targets: list[str]
     profiles: list[PldFileProfile]
     verdicts: VerdictMatrix
     alexa: dict[str, int]
     components: list[list[str]]           # planted MDNs incl. singletons
     planted_pages: dict[str, int]
     planted_indegree: dict[str, int]
+
+    @property
+    def edges(self) -> list[tuple[str, str]]:
+        """The page edges as (source, target) URL pairs."""
+        return list(zip(self.sources, self.targets))
 
     @property
     def psl_text(self) -> str:
@@ -194,17 +224,17 @@ def _draw_ints(fs: FamilySpec, n: int, rng: np.random.Generator,
     return vals
 
 
-def _unique_names(spec: SyntheticSpec, is_mal: np.ndarray,
+def _unique_names(spec: SyntheticSpec, is_mal: list[bool],
                   rng: np.random.Generator) -> list[str]:
     words = default_wordlist()
-    alphabet = list(DEFAULT_ALPHABET)
+    alphabet = np.array(list(DEFAULT_ALPHABET))
     names: list[str] = []
     seen: set[str] = set()
-    for i in range(spec.n_plds):
+    for m in is_mal:
         suffix = spec.suffixes[int(rng.integers(0, len(spec.suffixes)))]
         while True:
-            if is_mal[i] and rng.random() < spec.dga_fraction:
-                label = "".join(rng.choice(alphabet, size=12))
+            if m and rng.random() < spec.dga_fraction:
+                label = "".join(rng.choice(alphabet, size=12).tolist())
             elif rng.random() < 0.5:
                 label = words[int(rng.integers(0, len(words)))]
             else:
@@ -218,10 +248,10 @@ def _unique_names(spec: SyntheticSpec, is_mal: np.ndarray,
     return names
 
 
-def _distinct_weighted(rng: np.random.Generator, pool: np.ndarray,
-                       cumw: np.ndarray, k: int, forbidden: set[int],
-                       chosen: set[int]) -> list[int]:
-    """Draw k distinct ids from pool (weights via cumw), skipping forbidden.
+def _distinct_weighted(rng: np.random.Generator, pool: list[int],
+                       cumw: np.ndarray, k: int, taken: set[int]) -> list[int]:
+    """Draw k distinct ids from pool (weights via cumw), skipping the ids in
+    taken and adding each one drawn to it.
 
     Rejection over a precomputed cumulative-weight table; falls back to a
     scan of the remaining ids if rejection stalls on a concentrated pool.
@@ -231,23 +261,24 @@ def _distinct_weighted(rng: np.random.Generator, pool: np.ndarray,
         return out
     total = cumw[-1]
     for _ in range(64):
-        need = k - len(out)
-        if need <= 0:
-            return out
-        u = rng.random(2 * need + 4) * total
-        picks = np.searchsorted(cumw, u, side="right")
-        for j in picks:
-            pid = int(pool[j])
-            if pid in forbidden or pid in chosen:
+        u = rng.random(2 * (k - len(out)) + 4) * total
+        # binary search is several times faster on sorted keys than on
+        # random ones once a draw holds hundreds of keys
+        order = u.argsort()
+        picks = np.empty_like(order)
+        picks[order] = cumw.searchsorted(u[order], side="right")
+        for j in picks.tolist():
+            pid = pool[j]
+            if pid in taken:
                 continue
-            chosen.add(pid)
+            taken.add(pid)
             out.append(pid)
             if len(out) == k:
                 return out
-    rest = [int(p) for p in pool if p not in forbidden and p not in chosen]
-    rest = [rest[i] for i in rng.permutation(len(rest))]
-    for pid in rest[:k - len(out)]:
-        chosen.add(pid)
+    rest = [p for p in pool if p not in taken]
+    for i in rng.permutation(len(rest))[:k - len(out)].tolist():
+        pid = rest[i]
+        taken.add(pid)
         out.append(pid)
     return out
 
@@ -267,13 +298,14 @@ def plant_crawl(spec: SyntheticSpec) -> Corpus:
     rng_verd = np.random.default_rng([spec.seed, 7])
     rng_alexa = np.random.default_rng([spec.seed, 8])
 
-    is_mal = np.zeros(n, dtype=bool)
+    mal_flag = np.zeros(n, dtype=bool)
     if n_mal:
-        is_mal[rng_cls.choice(n, size=n_mal, replace=False)] = True
+        mal_flag[rng_cls.choice(n, size=n_mal, replace=False)] = True
+    is_mal = mal_flag.tolist()
     plds = _unique_names(spec, is_mal, rng_names)
-    labels = {plds[i]: ("malicious" if is_mal[i] else "clean") for i in range(n)}
-    mal_idx = np.flatnonzero(is_mal)
-    clean_idx = np.flatnonzero(~is_mal)
+    labels = {pld: ("malicious" if m else "clean") for pld, m in zip(plds, is_mal)}
+    mal_idx = np.flatnonzero(mal_flag)
+    clean_idx = np.flatnonzero(~mal_flag)
 
     # planted per-PLD page and in-degree counts, by class
     pages = np.zeros(n, dtype=np.int64)
@@ -287,42 +319,39 @@ def plant_crawl(spec: SyntheticSpec) -> Corpus:
         indeg[mal_idx] = _draw_ints(spec.indegree.malicious, len(mal_idx),
                                     rng_deg, cap=n - 1)
 
-    # page-cycle skeleton: pins page counts and adds one self-loop per PLD
-    edges: list[tuple[str, str]] = []
-    for i in range(n):
-        host = plds[i]
-        c = int(pages[i])
-        if c == 1:
-            edges.append((f"http://{host}/p0", f"http://{host}/p0"))
-        else:
-            for j in range(c):
-                edges.append((f"http://{host}/p{j}", f"http://{host}/p{(j + 1) % c}"))
+    # page-cycle skeleton: pins page counts and adds one self-loop per PLD;
+    # edges are kept as two URL columns, and p0 is each PLD's link target
+    sources: list[str] = []
+    targets: list[str] = []
+    p0: list[str] = []
+    page_no = list(map(str, range(int(pages.max()))))
+    for host, c in zip(plds, pages.tolist()):
+        urls = list(map(f"http://{host}/p".__add__, page_no[:c]))
+        sources += urls
+        targets += urls[1:]
+        targets.append(urls[0])
+        p0.append(urls[0])
 
     # inter-PLD links: k distinct sources per target, propensity-weighted,
     # homophilous draws pick the source from the target's own class pool
     prop = make_distribution(spec.out_propensity.family, spec.out_propensity.params,
                              spec.out_propensity.x_min).sample(n, rng_edges)
-    pool_all = np.arange(n)
+    pool_all = list(range(n))
     cum_all = np.cumsum(prop)
-    pools = {}
-    for tag, idx in (("clean", clean_idx), ("malicious", mal_idx)):
-        pools[tag] = (idx, np.cumsum(prop[idx])) if len(idx) else (idx, None)
-    for i in range(n):
-        k = int(indeg[i])
+    pools = {m: (idx.tolist(), np.cumsum(prop[idx]))     # keyed by is_mal
+             for m, idx in ((False, clean_idx), (True, mal_idx))}
+    for i, (k, m) in enumerate(zip(indeg.tolist(), is_mal)):
         if k <= 0:
             continue
-        cls = "malicious" if is_mal[i] else "clean"
-        same_pool, same_cum = pools[cls]
+        same_pool, same_cum = pools[m]
         k_same = int(rng_edges.binomial(k, spec.homophily)) if spec.homophily else 0
         k_same = min(k_same, max(len(same_pool) - 1, 0))
-        chosen: set[int] = set()
+        taken = {i}
         srcs = _distinct_weighted(rng_edges, same_pool, same_cum, k_same,
-                                  {i}, chosen) if k_same else []
-        srcs += _distinct_weighted(rng_edges, pool_all, cum_all, k - len(srcs),
-                                   {i}, chosen)
-        dst = f"http://{plds[i]}/p0"
-        for s in srcs:
-            edges.append((f"http://{plds[s]}/p0", dst))
+                                  taken) if k_same else []
+        srcs += _distinct_weighted(rng_edges, pool_all, cum_all, k - len(srcs), taken)
+        sources += map(p0.__getitem__, srcs)
+        targets += [p0[i]] * len(srcs)
 
     # files: component-shared malicious files pin the MDNs; every other
     # malicious file is private to its PLD; clean PLDs host only clean files
@@ -332,7 +361,8 @@ def plant_crawl(spec: SyntheticSpec) -> Corpus:
     if len(mal_idx):
         n_files[mal_idx] = _draw_ints(spec.files.malicious, len(mal_idx), rng_files)
 
-    mal_order = mal_idx[rng_files.permutation(len(mal_idx))] if len(mal_idx) else mal_idx
+    mal_order = (mal_idx[rng_files.permutation(len(mal_idx))] if len(mal_idx)
+                 else mal_idx).tolist()
     comp_of = {}
     components: list[list[str]] = []
     pos = 0
@@ -341,11 +371,11 @@ def plant_crawl(spec: SyntheticSpec) -> Corpus:
         comp_id = len(components)
         components.append(sorted(plds[j] for j in members))
         for j in members:
-            comp_of[int(j)] = comp_id
+            comp_of[j] = comp_id
         pos += size
     for j in mal_order[pos:]:                      # leftover -> singletons
-        comp_of[int(j)] = len(components)
-        components.append([plds[int(j)]])
+        comp_of[j] = len(components)
+        components.append([plds[j]])
 
     file_counter = 0
     clean_pool: list[str] = []
@@ -365,32 +395,30 @@ def plant_crawl(spec: SyntheticSpec) -> Corpus:
         ndet = int(rng_verd.integers(det_lo, det_hi + 1))
         bits = rng_verd.choice(spec.d, size=min(ndet, spec.d), replace=False)
         mask = 0
-        for b in bits:
-            mask |= 1 << int(b)
+        for b in bits.tolist():
+            mask |= 1 << b
         return mask
 
+    def add(files: dict[str, int], h: str) -> None:
+        files[h] = files.get(h, 0) + int(rng_files.integers(occ_lo, occ_hi + 1))
+
     comp_file: dict[int, str] = {}
-    for i in range(n):
+    for i, (pld, m, slots) in enumerate(zip(plds, is_mal, n_files.tolist())):
         files: dict[str, int] = {}
-
-        def add(h: str) -> None:
-            files[h] = files.get(h, 0) + int(rng_files.integers(occ_lo, occ_hi + 1))
-
-        slots = int(n_files[i])
-        if is_mal[i]:
-            cid = comp_of[int(i)]
+        if m:
+            cid = comp_of[i]
             if len(components[cid]) > 1:
                 if cid not in comp_file:
                     comp_file[cid] = fresh_hash()
                     mal_masks[comp_file[cid]] = mal_mask()
-                add(comp_file[cid])
+                add(files, comp_file[cid])
             else:
                 h = fresh_hash()
                 mal_masks[h] = mal_mask()
-                add(h)
+                add(files, h)
             slots -= 1
         for _ in range(max(slots, 0)):
-            if is_mal[i] and rng_files.random() < 0.2:
+            if m and rng_files.random() < 0.2:
                 h = fresh_hash()          # extra private malicious file
                 mal_masks[h] = mal_mask()
             elif clean_pool and rng_files.random() < spec.shared_clean_pool:
@@ -400,26 +428,25 @@ def plant_crawl(spec: SyntheticSpec) -> Corpus:
                 clean_hashes.add(h)
                 if len(clean_pool) < 64:
                     clean_pool.append(h)
-            add(h)
-        profiles.append(PldFileProfile(pld=plds[i], files=files))
+            add(files, h)
+        profiles.append(PldFileProfile(pld=pld, files=files))
 
     masks = {h: 0 for h in clean_hashes}
     masks.update(mal_masks)
     verdicts = VerdictMatrix(d=spec.d, masks=masks)
 
     # alexa ranks: class-dependent coverage, ranks are a permutation
-    ranked = [plds[i] for i in range(n)
-              if rng_alexa.random() < (spec.alexa_malicious if is_mal[i]
-                                       else spec.alexa_clean)]
+    ranked = [pld for pld, m in zip(plds, is_mal)
+              if rng_alexa.random() < (spec.alexa_malicious if m else spec.alexa_clean)]
     ranks = rng_alexa.permutation(len(ranked)) + 1
-    alexa = {pld: int(r) for pld, r in zip(ranked, ranks)}
+    alexa = dict(zip(ranked, ranks.tolist()))
 
     components = sorted(components, key=lambda m: (-len(m), m[0]))
-    return Corpus(spec=spec, plds=plds, labels=labels, edges=edges,
-                  profiles=profiles, verdicts=verdicts, alexa=alexa,
-                  components=components,
-                  planted_pages={plds[i]: int(pages[i]) for i in range(n)},
-                  planted_indegree={plds[i]: int(indeg[i]) for i in range(n)})
+    return Corpus(spec=spec, plds=plds, labels=labels, sources=sources,
+                  targets=targets, profiles=profiles, verdicts=verdicts,
+                  alexa=alexa, components=components,
+                  planted_pages=dict(zip(plds, pages.tolist())),
+                  planted_indegree=dict(zip(plds, indeg.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +461,7 @@ def write_corpus(corpus: Corpus, out_dir: str) -> dict[str, str]:
         ("labels", "labels.tsv"), ("psl", "psl.dat"), ("truth", "truth.json"),
         ("spec", "spec.json")]}
 
-    write_table(paths["edges"], None, [map(itemgetter(i), corpus.edges) for i in (0, 1)])
+    write_table(paths["edges"], None, [corpus.sources, corpus.targets])
     write_observations(corpus.profiles, paths["observations"])
     write_verdicts(corpus.verdicts, paths["verdicts"])
     for name, table in (("alexa", corpus.alexa), ("labels", corpus.labels)):

@@ -24,6 +24,17 @@ def corpus(tmp_path_factory):
     return str(out)
 
 
+def test_synth_reports_the_written_edge_count(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(asdict(default_spec(seed=4, n_plds=60))))
+    out = tmp_path / "corpus"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
+    with open(out / "edges.tsv") as fh:
+        n_edges = sum(1 for _ in fh)
+    assert capsys.readouterr().out.splitlines()[0] == \
+        f"60 PLDs, {n_edges} page edges -> {out}"
+
+
 def test_run_pipeline_via_config(tmp_path, corpus, capsys):
     cfg = {
         "edges": os.path.join(corpus, "edges.tsv"),
@@ -611,7 +622,16 @@ def test_synth_spec_value_of_the_wrong_type_is_input_error(tmp_path, capsys, edi
      "x_min must be positive"),
     (lambda s: s["files"]["malicious"].update(family="bogus"),
      "unknown family 'bogus'"),
-], ids=["homophily-above-one", "x_min-nan", "family-unknown"])
+    (lambda s: s.update(suffixes=["com", "COM"]), "suffix 'COM' must be a non-empty, "
+     "lowercase, plain public suffix rule"),
+    (lambda s: s.update(suffixes=[""]), "suffix '' must be a non-empty"),
+    (lambda s: s.update(suffixes=[".com"]), "suffix '.com' must be a non-empty"),
+    (lambda s: s.update(suffixes=["*.uk"]), "suffix '*.uk' must be a non-empty"),
+    (lambda s: s.update(suffixes=["!com"]), "suffix '!com' must be a non-empty"),
+    (lambda s: s.update(suffixes=["com/x"]), "suffix 'com/x' must be a non-empty"),
+], ids=["homophily-above-one", "x_min-nan", "family-unknown", "suffix-upper",
+        "suffix-empty", "suffix-leading-dot", "suffix-wildcard", "suffix-exception",
+        "suffix-slash"])
 def test_synth_spec_value_out_of_range_is_input_error(tmp_path, capsys, edit, message):
     spec = asdict(default_spec(seed=3, n_plds=60))
     edit(spec)

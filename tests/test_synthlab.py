@@ -15,8 +15,9 @@ from webmal.mdn import build_cooccurrence, extract_mdns
 from webmal.metrics import degrees
 from webmal.psl import parse_psl
 from webmal.reputation import malicious_file_sets, score_plds
-from webmal.synthlab import (ClassPair, FamilySpec, SyntheticSpec, default_spec,
-                             plant_crawl, read_spec, sample, write_corpus)
+from webmal.synthlab import (ClassPair, FamilySpec, SyntheticSpec, _distinct_weighted,
+                             default_spec, plant_crawl, read_spec, sample,
+                             write_corpus)
 from webmal.tables import decode, read_table
 
 
@@ -109,6 +110,40 @@ def test_spec_rejects_bad_fractions_and_ranges():
         default_spec(seed=1, n_plds=100, d=8, detections=(1, 9))
     with pytest.raises(InfeasibleSpec):
         default_spec(seed=1, n_plds=1)
+
+
+@pytest.mark.parametrize("suffix", ["COM", "", ".com", "com.", "*.uk", "!com",
+                                    "//com", "co uk", "com/x"])
+def test_spec_rejects_a_suffix_that_breaks_the_planted_truth(suffix):
+    with pytest.raises(InfeasibleSpec, match="plain public suffix rule"):
+        default_spec(seed=1, n_plds=100, suffixes=("com", suffix))
+
+
+# ---------------------------------------------------------------------------
+# weighted draws
+
+def test_distinct_weighted_falls_back_to_a_scan_on_a_concentrated_pool():
+    # one id holds nearly all the weight, so rejection cannot reach the
+    # others and the scan over the remaining ids must supply them
+    pool = [10, 11, 12, 13, 14, 15]
+    cumw = np.cumsum([1.0, 1e-300, 1e-300, 1e-300, 1e-300, 1e-300])
+    k = len(pool) - 1
+    draws = []
+    for _ in range(2):
+        taken = {12, 99}
+        out = _distinct_weighted(np.random.default_rng(3), pool, cumw, k, taken)
+        assert len(out) == len(set(out)) == k
+        assert 12 not in out and set(out) <= set(pool)
+        assert taken == {12, 99} | set(out)
+        draws.append(out)
+    assert draws[0] == draws[1]
+    assert draws[0][0] == 10
+
+
+def test_distinct_weighted_draws_nothing_for_k_zero():
+    rng = np.random.default_rng(3)
+    assert _distinct_weighted(rng, [1, 2], np.cumsum([1.0, 1.0]), 0, set()) == []
+    assert rng.random() == np.random.default_rng(3).random()
 
 
 # ---------------------------------------------------------------------------
