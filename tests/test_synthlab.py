@@ -112,8 +112,7 @@ def test_spec_rejects_bad_fractions_and_ranges():
         default_spec(seed=1, n_plds=1)
 
 
-@pytest.mark.parametrize("suffix", ["COM", "", ".com", "com.", "*.uk", "!com",
-                                    "//com", "co uk", "com/x"])
+@pytest.mark.parametrize("suffix", ["COM", "com.", "//com", "co uk"])
 def test_spec_rejects_a_suffix_that_breaks_the_planted_truth(suffix):
     with pytest.raises(InfeasibleSpec, match="plain public suffix rule"):
         default_spec(seed=1, n_plds=100, suffixes=("com", suffix))
