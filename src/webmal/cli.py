@@ -9,8 +9,6 @@ One subcommand per pipeline stage, each a call of the stage function in
 from __future__ import annotations
 
 import argparse
-import functools
-import gc
 import sys
 from dataclasses import fields
 
@@ -74,10 +72,9 @@ def cmd_metrics(args) -> None:
 
 def cmd_score(args) -> None:
     from .pipeline import score_reputation
-    rows = score_reputation(args.verdicts, args.observations, args.out,
-                            tau=args.tau)
-    n_mal = sum(r.dichotomy == "malicious" for r in rows)
-    print(f"{len(rows)} PLDs scored, {n_mal} malicious -> {args.out}")
+    rep = score_reputation(args.verdicts, args.observations, args.out,
+                           tau=args.tau)
+    print(f"{len(rep.plds)} PLDs scored, {rep.malicious.sum()} malicious -> {args.out}")
 
 
 def cmd_dga(args) -> None:
@@ -256,18 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@functools.cache
-def _freeze_startup_objects() -> None:
-    """Freeze, once per process, what is alive when the first command starts
-    (the state of numpy, scipy and these modules), which lives until the
-    process exits. Every full collection a command triggers then skips it,
-    so when those collections come and what they cost follow the command's
-    own objects only."""
-    gc.freeze()
-
-
 def main(argv=None) -> int:
-    _freeze_startup_objects()
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

@@ -34,10 +34,8 @@ from scipy.special import erfc
 
 from ..errors import (InvalidParams, NoValidCandidate, OptimizerFailure,
                       TooFewPoints)
-# the box constants are imported so that they can be read from here too
-from .families import (ALPHA_HI, ALPHA_LO, BETA_HI, FAMILIES, FAMILY_ORDER,
-                       MU_HI, MU_LO, SIGMA_HI, SIGMA_LO, Objective,
-                       TailDistribution, _TailStats, make_distribution)
+from .families import (FAMILIES, FAMILY_ORDER, Objective, TailDistribution,
+                       _TailStats, make_distribution)
 
 DEFAULT_RESTARTS = 8
 MIN_TAIL = 10        # fewest tail points a fit accepts
@@ -376,8 +374,7 @@ def _candidate_xmins(values: np.ndarray, max_candidates: int) -> np.ndarray:
     return uniq[idx]
 
 
-def estimate_xmin(data, family: str, *, min_points: int = MIN_POINTS,
-                  max_candidates: int = 200,
+def estimate_xmin(data, family: str, *, max_candidates: int = 200,
                   restarts: int = DEFAULT_RESTARTS) -> FitResult:
     """Joint x_min and parameter estimate minimizing the tail KS distance.
 
@@ -388,8 +385,8 @@ def estimate_xmin(data, family: str, *, min_points: int = MIN_POINTS,
     smaller x_min.
     """
     x = np.sort(np.asarray(data, dtype=float))
-    if len(x) < min_points:
-        raise TooFewPoints(f"{len(x)} points < floor {min_points}")
+    if len(x) < MIN_POINTS:
+        raise TooFewPoints(f"{len(x)} points < floor {MIN_POINTS}")
     if np.any(~np.isfinite(x)) or np.any(x <= 0):
         raise InvalidParams("data must be positive and finite")
     candidates = _candidate_xmins(x, max_candidates)
@@ -460,7 +457,7 @@ def compare(data, fit_f: FitResult, family_g: str, *,
 
 
 def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
-                      min_points: int = MIN_POINTS, max_candidates: int = 200,
+                      max_candidates: int = 200,
                       restarts: int = DEFAULT_RESTARTS) -> CandidateSet:
     """Fit every family, eliminate pairwise, and pick a surviving family.
 
@@ -480,8 +477,8 @@ def select_candidates(data, *, families: tuple[str, ...] = FAMILY_ORDER,
     refits: dict[tuple[str, float], dict[str, float]] = {}
     for tag in families:
         try:
-            fit = estimate_xmin(data, tag, min_points=min_points,
-                                max_candidates=max_candidates, restarts=restarts)
+            fit = estimate_xmin(data, tag, max_candidates=max_candidates,
+                                restarts=restarts)
         except (NoValidCandidate, OptimizerFailure, TooFewPoints):
             fits[tag] = None
             eliminated_by[tag].append("unfit")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,28 +41,13 @@ from .predict import (FEATURE_SETS, ExperimentResult, FeatureMatrix,
                       read_alexa, read_features, run_stacked_experiment,
                       write_features, write_model)
 from .psl import load_psl
-from .reputation import (PldReputation, malicious_file_sets, read_observations,
+from .reputation import (Reputation, malicious_file_sets, read_observations,
                          read_reputation, read_verdicts, score_plds,
                          write_reputation)
 from .tables import decode, read_json, read_table, write_json, write_table
 
-WORKERS_ENV = "WEBMAL_WORKERS"
-
 # the metrics-table features that hold counts, and so can be fitted
 FIT_FEATURES = ("num_pages", "indegree", "outdegree", "total_degree", "triangles")
-
-
-def _env_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be >= 1")
-    return n
 
 
 @dataclass
@@ -87,7 +72,7 @@ class RunConfig:
     l2: float = 0.01
     epochs: int = 20_000
     emit_tsv: bool = False
-    workers: int = field(default_factory=_env_workers)
+    workers: int = 1
 
     def validate(self) -> None:
         for name in ("edges", "psl", "verdicts", "observations"):
@@ -190,11 +175,11 @@ def node_metrics(nodes: str, edges: str, out: str, **params) -> NodeMetrics:
 
 
 def score_reputation(verdicts: str, observations: str, out: str, *,
-                     tau: float) -> list[PldReputation]:
+                     tau: float) -> Reputation:
     verdict_matrix = read_verdicts(verdicts)
-    rows = score_plds(read_observations(observations), verdict_matrix, tau=tau)
-    write_reputation(rows, out)
-    return rows
+    rep = score_plds(read_observations(observations), verdict_matrix, tau=tau)
+    write_reputation(rep, out)
+    return rep
 
 
 def score_names(names: list[str], out: str, *,
@@ -315,13 +300,16 @@ def _fit_unit(args: tuple) -> tuple[str, str, dict]:
 
 def _stage_fits(cfg: RunConfig, paths: dict) -> None:
     metrics = read_metrics(paths["metrics.tsv"])
-    label = {r.pld: r.dichotomy for r in read_reputation(paths["reputation.tsv"])}
-    pops = np.array([label.get(pld, "") for pld in metrics.plds], dtype=str)
+    rep = read_reputation(paths["reputation.tsv"])
+    rows = rep.rows(metrics.plds)
+    # a PLD with no reputation row is in neither population
+    clean, malicious = rows >= 0, np.zeros(len(rows), dtype=bool)
+    malicious[clean] = rep.malicious[rows[clean]]
+    clean &= ~malicious
     units = []
     for feature in cfg.fit_features:
         vals = metric_column(metrics, feature)
-        series = {"all": vals, "clean": vals[pops == "clean"],
-                  "malicious": vals[pops == "malicious"]}
+        series = {"all": vals, "clean": vals[clean], "malicious": vals[malicious]}
         for population, pop_vals in series.items():
             data = _subsample_sorted(pop_vals, cfg.fit_max_n)
             units.append((feature, population, data, cfg.fit_restarts))

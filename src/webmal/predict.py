@@ -2,7 +2,7 @@
 
 Feature groups map onto the per-PLD tables produced upstream: centrality and
 graph columns come from the node metrics table, domain columns join the
-reputation rows with name badness scores, and the alexa pair is imputed for
+reputation table with name badness scores, and the alexa pair is imputed for
 unranked PLDs (sentinel rank 1,000,001 with the top-1M flag cleared).
 
 The stacked feature is the mean base-model probability over a PLD's
@@ -24,7 +24,7 @@ from .errors import (DimensionMismatch, InputError, InvalidParams, KeyMismatch,
                      UnknownFeatureSet)
 from .graph import PldGraph
 from .metrics import NodeMetrics
-from .reputation import PldReputation
+from .reputation import Reputation
 from .tables import (read_header, read_json, read_table, where, write_json,
                      write_table)
 
@@ -69,7 +69,7 @@ def metric_column(metrics: NodeMetrics, feature: str) -> np.ndarray:
     return getattr(metrics, METRIC_COLUMNS[feature]).astype(float)
 
 
-def assemble_features(metrics: NodeMetrics, reputation: list[PldReputation],
+def assemble_features(metrics: NodeMetrics, reputation: Reputation,
                       dga_scores: Mapping[str, float],
                       alexa: Mapping[str, int], feature_set: str = "all") -> FeatureMatrix:
     """Join the per-PLD tables into one named feature matrix.
@@ -82,12 +82,12 @@ def assemble_features(metrics: NodeMetrics, reputation: list[PldReputation],
     if feature_set not in FEATURE_SETS:
         raise UnknownFeatureSet(f"unknown feature set {feature_set!r}")
     names = FEATURE_SETS[feature_set]
-    rrows = {r.pld: r for r in reputation}
     order = sorted(range(len(metrics.plds)), key=metrics.plds.__getitem__)
     plds = [metrics.plds[i] for i in order]
-    missing = [p for p in plds if p not in rrows]
-    if missing:
-        raise KeyMismatch(f"no reputation row for {missing[0]!r} "
+    rows = reputation.rows(plds)
+    missing = np.flatnonzero(rows < 0)
+    if len(missing):
+        raise KeyMismatch(f"no reputation row for {plds[missing[0]]!r} "
                           f"(+{len(missing) - 1} more)")
     need_dga = "name_entropy" in names
     if need_dga:
@@ -102,11 +102,11 @@ def assemble_features(metrics: NodeMetrics, reputation: list[PldReputation],
         if name in METRIC_COLUMNS:
             cols[name] = metric_column(metrics, name)[order]
         elif name == "total_files":
-            cols[name] = np.array([rrows[p].total for p in plds], dtype=float)
+            cols[name] = reputation.total[rows].astype(float)
         elif name == "unique_files":
-            cols[name] = np.array([rrows[p].n_unique for p in plds], dtype=float)
+            cols[name] = reputation.n_unique[rows].astype(float)
         elif name == "file_entropy":
-            cols[name] = np.array([rrows[p].entropy for p in plds], dtype=float)
+            cols[name] = reputation.entropy[rows].astype(float)
         elif name == "name_entropy":
             cols[name] = np.array([dga_scores[p] for p in plds], dtype=float)
         elif name == "rank":
@@ -118,8 +118,7 @@ def assemble_features(metrics: NodeMetrics, reputation: list[PldReputation],
     X = np.column_stack([cols[name] for name in names]) if n else np.zeros((0, len(names)))
     if not np.all(np.isfinite(X)):
         raise NonFiniteInput("assembled features contain non-finite values")
-    labels = np.array([1 if rrows[p].dichotomy == "malicious" else 0
-                       for p in plds], dtype=np.int8)
+    labels = reputation.malicious[rows].astype(np.int8)
     return FeatureMatrix(plds=plds, feature_names=tuple(names), X=X, labels=labels)
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter, ne
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -196,28 +196,38 @@ def _ratios(sets: FileSets, verdicts: VerdictMatrix) -> np.ndarray:
     return (detections / verdicts.d)[sets.file]
 
 
-class PldReputation(NamedTuple):
-    pld: str
-    dichotomy: str              # "clean" | "malicious"
-    r_bar: float
-    n_unique: int
-    total: int
-    entropy: float
+@dataclass(frozen=True, eq=False)
+class Reputation:
+    """The scores of every PLD, one position per PLD: `plds` are sorted when
+    score_plds made the table, and in file order when read_reputation read
+    it."""
+
+    plds: list[str]
+    malicious: np.ndarray       # bool: the dichotomy
+    r_bar: np.ndarray           # float64
+    n_unique: np.ndarray        # int64, N
+    total: np.ndarray           # int64, TF
+    entropy: np.ndarray         # float64, H
+
+    def rows(self, plds: Sequence[str]) -> np.ndarray:
+        """Each name's row, or -1 where the name has no row; a name listed
+        twice is its last row."""
+        index = dict(zip(self.plds, range(len(self.plds))))
+        return np.fromiter(map(index.get, plds, repeat(-1)), np.int64, len(plds))
 
 
 _DICHOTOMY = ("clean", "malicious")
 
 
 def score_plds(observations: Observations | Iterable[PldFileProfile],
-               verdicts: VerdictMatrix, tau: float = 0.0) -> list[PldReputation]:
-    """Score every PLD; rows come back sorted by PLD name, each equal to
-    pld_dichotomy, pld_ratio_score and file_diversity_entropy of its PLD."""
+               verdicts: VerdictMatrix, tau: float = 0.0) -> Reputation:
+    """Score every PLD, sorted by PLD name; each row equals pld_dichotomy,
+    pld_ratio_score and file_diversity_entropy of its PLD."""
     _check_tau(tau)
     obs = _observations(observations)
     sets, count = obs.sets, obs.count
     ratio = _ratios(sets, verdicts)
     n = len(sets.plds)
-    n_unique = np.diff(sets.indptr)
     total = np.add.reduceat(count, sets.indptr[:-1])
     r_bar = np.bincount(sets.pld, weights=count * ratio, minlength=n) / total
     p = count / total[sets.pld]
@@ -226,9 +236,8 @@ def score_plds(observations: Observations | Iterable[PldFileProfile],
     entropy = -np.bincount(sets.pld, weights=p * log_p, minlength=n) + 0.0
     malicious = np.zeros(n, dtype=bool)
     malicious[sets.pld[ratio > tau]] = True
-    return list(map(PldReputation._make, zip(
-        sets.plds, map(_DICHOTOMY.__getitem__, malicious.tolist()), r_bar.tolist(),
-        n_unique.tolist(), total.tolist(), entropy.tolist())))
+    return Reputation(list(sets.plds), malicious, r_bar, np.diff(sets.indptr),
+                      total, entropy)
 
 
 def malicious_file_sets(observations: Observations | Iterable[PldFileProfile],
@@ -316,21 +325,20 @@ def write_observations(profiles: Iterable[PldFileProfile], path: str) -> None:
 REPUTATION_HEADER = ("pld", "dichotomy", "r_bar", "n_unique", "total", "entropy")
 
 
-def write_reputation(rows: Iterable[PldReputation], path: str) -> None:
-    """Write score rows: pld, dichotomy, r_bar, N, TF, H."""
-    pld, dichotomy, r_bar, n_unique, total, entropy = list(zip(*rows)) or [()] * 6
+def write_reputation(rep: Reputation, path: str) -> None:
+    """Write the table: pld, dichotomy, r_bar, N, TF, H."""
     write_table(path, REPUTATION_HEADER, (
-        pld, dichotomy, np.array(r_bar, dtype=np.float64), n_unique, total,
-        np.array(entropy, dtype=np.float64)))
+        rep.plds, map(_DICHOTOMY.__getitem__, rep.malicious.tolist()), rep.r_bar,
+        rep.n_unique, rep.total, rep.entropy))
 
 
-def read_reputation(path: str) -> list[PldReputation]:
+def read_reputation(path: str) -> Reputation:
     plds, dichotomy, r_bar, n_unique, total, entropy = read_table(
         path, REPUTATION_HEADER, (str, str, float, int, int, float))
-    for i, label in enumerate(dichotomy):
-        if label not in _DICHOTOMY:
-            raise InputError(f"{where(path, REPUTATION_HEADER, i)}: bad dichotomy "
-                             f"{label!r}")
-    return list(map(PldReputation._make, zip(
-        plds, dichotomy, r_bar.tolist(), n_unique.tolist(), total.tolist(),
-        entropy.tolist())))
+    try:
+        malicious = np.fromiter(map(_DICHOTOMY.index, dichotomy), bool, len(plds))
+    except ValueError:
+        i = next(i for i, label in enumerate(dichotomy) if label not in _DICHOTOMY)
+        raise InputError(f"{where(path, REPUTATION_HEADER, i)}: bad dichotomy "
+                         f"{dichotomy[i]!r}") from None
+    return Reputation(plds, malicious, r_bar, n_unique, total, entropy)

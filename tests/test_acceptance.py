@@ -246,8 +246,9 @@ def test_criterion_06_reputation_exactness():
     for seed in (21, 22, 23):
         spec = default_spec(seed=seed, n_plds=2000)
         c = plant_crawl(spec)
-        reps = {r.pld: r.dichotomy for r in
-                score_plds(c.profiles, c.verdicts, tau=0.0)}
+        rep = score_plds(c.profiles, c.verdicts, tau=0.0)
+        reps = dict(zip(rep.plds,
+                        np.where(rep.malicious, "malicious", "clean").tolist()))
         mismatches += sum(reps[p] != c.labels[p] for p in c.plds)
     assert mismatches == 0
     _line(6, "hand-computed scores exact; planted 5% corpora: 0 dichotomy "

@@ -11,9 +11,9 @@ from webmal.heavytail import (FAMILY_ORDER, CandidateSet, compare, estimate_xmin
                               ks_distance, make_distribution, mle_fit,
                               select_candidates, upper_gamma)
 from webmal.heavytail import fitting
-from webmal.heavytail.families import _CF_SWITCH, FAMILIES
-from webmal.heavytail.fitting import (ALPHA_HI, ALPHA_LO, BETA_HI, MU_HI, MU_LO,
-                                      SIGMA_HI, SIGMA_LO, _TailStats, minimize)
+from webmal.heavytail.families import (_CF_SWITCH, ALPHA_HI, ALPHA_LO, BETA_HI,
+                                       FAMILIES, MU_HI, MU_LO, SIGMA_HI, SIGMA_LO)
+from webmal.heavytail.fitting import _TailStats, minimize
 from webmal.synthlab import sample
 
 from oracles import oracle_tail_loglik
@@ -594,7 +594,7 @@ def test_select_small_subsample_keeps_family_in_candidates():
                   30_000, seed=42)
     rng = np.random.default_rng(43)
     sub = rng.choice(data, size=60, replace=False)
-    result = select_candidates(sub, min_points=50)
+    result = select_candidates(sub)
     assert "trunc_power_law" in result.candidates
     assert len(result.candidates) >= 1
 

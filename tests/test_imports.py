@@ -1,4 +1,4 @@
-"""What a webmal process loads and keeps at start-up."""
+"""What a webmal process loads at start-up."""
 
 import os
 import subprocess
@@ -35,19 +35,3 @@ def test_package_loads_no_scipy_stats():
     assert "webmal.predict" in out and "webmal.heavytail.fitting" in out
     assert [m for m in out if m.startswith(HEAVY)] == []
 
-
-def test_first_command_freezes_the_startup_objects():
-    out = _python(IMPORT_ALL + """
-import gc
-from webmal.cli import main
-counts = [gc.get_freeze_count()]
-for _ in range(2):
-    try:
-        main(["--help"])
-    except SystemExit:
-        pass
-    counts.append(gc.get_freeze_count())
-print(*counts)
-""")
-    before, first, second = map(int, out[-3:])
-    assert before == 0 and first > 10_000 and second == first

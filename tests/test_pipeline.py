@@ -336,13 +336,27 @@ def test_config_from_json_with_overrides(tmp_path, corpus_dir):
     assert cfg.split_seed == 0      # None override ignored
 
 
-def test_workers_env(monkeypatch, corpus_dir, tmp_path):
-    monkeypatch.setenv("WEBMAL_WORKERS", "3")
-    cfg = make_config(corpus_dir, str(tmp_path / "run"))
-    assert cfg.workers == 3
-    monkeypatch.setenv("WEBMAL_WORKERS", "zero")
-    with pytest.raises(ConfigError):
-        make_config(corpus_dir, str(tmp_path / "run2"))
+def test_fits_leave_a_pld_with_no_reputation_row_out_of_both_populations(
+        tmp_path, corpus_dir):
+    from webmal.metrics import METRICS_HEADER
+    from webmal.pipeline import _stage_fits
+    from webmal.reputation import REPUTATION_HEADER
+    paths = {name: str(tmp_path / name)
+             for name in ("metrics.tsv", "reputation.tsv", "fits.json")}
+    with open(paths["metrics.tsv"], "w") as fh:
+        fh.write("\t".join(METRICS_HEADER) + "\n")
+        for k, pld in enumerate(("a.com", "b.com", "c.com", "d.com")):
+            fh.write(f"{pld}\t1\t1\t2\t0.25\t0.5\t0.5\t0\t{k + 1}\n")
+    # b.com and d.com have no row; d.com would take c.com's if -1 indexed
+    with open(paths["reputation.tsv"], "w") as fh:
+        fh.write("\t".join(REPUTATION_HEADER) + "\n"
+                 "a.com\tclean\t0.0\t1\t1\t0.0\n"
+                 "c.com\tmalicious\t1.0\t1\t1\t0.0\n")
+    _stage_fits(make_config(corpus_dir, str(tmp_path)), paths)
+    with open(paths["fits.json"]) as fh:
+        units = json.load(fh)["features"]["num_pages"]
+    assert {pop: unit["n"] for pop, unit in units.items()} == \
+        {"all": 4, "clean": 1, "malicious": 1}
 
 
 def test_tsv_mirrors(tmp_path, corpus_dir):

@@ -20,7 +20,7 @@ from webmal.predict import (ALEXA_SENTINEL_RANK, FEATURE_SETS, EvalReport,
                             undersample, write_model)
 from webmal.predict import _gradient
 from webmal.psl import parse_psl
-from webmal.reputation import PldReputation
+from webmal.reputation import Reputation
 
 from oracles import oracle_logistic_loss, oracle_stacked_feature
 
@@ -32,10 +32,8 @@ def fake_sources(n=6, n_mal=2):
                           total_degree=i + i % 3, pagerank=1.0 / (i + 1),
                           hub=0.1 * i, authority=0.2 * i, triangles=i % 2,
                           num_pages=2 * i + 1)
-    reps = [PldReputation(pld=p, dichotomy="malicious" if i < n_mal else "clean",
-                          r_bar=0.1 * i, n_unique=i + 1, total=2 * i + 2,
-                          entropy=0.5)
-            for i, p in enumerate(plds)]
+    reps = Reputation(plds=plds, malicious=i < n_mal, r_bar=0.1 * i,
+                      n_unique=i + 1, total=2 * i + 2, entropy=np.full(n, 0.5))
     dga = {p: 10.0 + i for i, p in enumerate(plds)}
     alexa = {plds[0]: 5, plds[1]: 2_000_000}
     return plds, metrics, reps, dga, alexa
@@ -74,7 +72,7 @@ def test_alexa_imputation_sentinel():
 def test_labels_follow_dichotomy():
     plds, metrics, reps, dga, alexa = fake_sources(n_mal=3)
     fm = assemble_features(metrics, reps, dga, alexa, "graph")
-    want = {r.pld: 1 if r.dichotomy == "malicious" else 0 for r in reps}
+    want = {p: 1 if mal else 0 for p, mal in zip(reps.plds, reps.malicious.tolist())}
     got = {p: int(v) for p, v in zip(fm.plds, fm.labels)}
     assert got == want
 
@@ -83,8 +81,11 @@ def test_unknown_set_and_key_mismatch():
     _, metrics, reps, dga, alexa = fake_sources()
     with pytest.raises(UnknownFeatureSet):
         assemble_features(metrics, reps, dga, alexa, "everything")
-    with pytest.raises(KeyMismatch):
-        assemble_features(metrics, reps[:-1], dga, alexa)
+    with pytest.raises(KeyMismatch,
+                       match=r"^no reputation row for 'site05\.com' \(\+0 more\)$"):
+        assemble_features(metrics, Reputation(
+            reps.plds[:-1], reps.malicious[:-1], reps.r_bar[:-1],
+            reps.n_unique[:-1], reps.total[:-1], reps.entropy[:-1]), dga, alexa)
     bad_dga = dict(dga)
     del bad_dga["site03.com"]
     with pytest.raises(KeyMismatch):

@@ -1,5 +1,6 @@
 """File/PLD maliciousness scoring: exact hand values, invariants, file I/O."""
 
+import gc
 import math
 
 import numpy as np
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 
 from webmal.errors import (EmptyProfile, EmptyVector, InputError,
                            InvalidParams, MissingVerdict)
-from webmal.reputation import (PldFileProfile, VerdictMatrix,
-                               file_diversity_entropy, file_score_binary,
-                               file_score_ratio, malicious_file_sets,
-                               pld_dichotomy, pld_ratio_score,
-                               read_observations, read_reputation,
-                               read_verdicts, score_plds, write_observations,
-                               write_reputation, write_verdicts)
+from webmal.reputation import (REPUTATION_HEADER, PldFileProfile,
+                               VerdictMatrix, file_diversity_entropy,
+                               file_score_binary, file_score_ratio,
+                               malicious_file_sets, pld_dichotomy,
+                               pld_ratio_score, read_observations,
+                               read_reputation, read_verdicts, score_plds,
+                               write_observations, write_reputation,
+                               write_verdicts)
 from webmal.synthlab import default_spec, plant_crawl
 
 
@@ -25,6 +27,18 @@ def matrix(d, **masks):
 
 def profile(pld, **files):
     return PldFileProfile(pld=pld, files=files)
+
+
+def _columns(rep):
+    """A reputation table's columns as lists of Python values."""
+    return (rep.plds, rep.malicious.tolist(), rep.r_bar.tolist(),
+            rep.n_unique.tolist(), rep.total.tolist(), rep.entropy.tolist())
+
+
+def _row(rep, i):
+    """Row i of a reputation table as Python values, its dichotomy as text."""
+    return (rep.plds[i], "malicious" if rep.malicious[i] else "clean",
+            *(col[i].item() for col in (rep.r_bar, rep.n_unique, rep.total, rep.entropy)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +243,12 @@ def test_clean_dichotomy_implies_zero_ratio_at_zero_tau():
 def test_score_plds_sorted_and_complete():
     m = matrix(4, a=0x1, b=0x0)
     profs = [profile("zeta.org", b=2), profile("alpha.org", a=1, b=1)]
-    rows = score_plds(profs, m)
-    assert [r.pld for r in rows] == ["alpha.org", "zeta.org"]
-    assert rows[0].dichotomy == "malicious"
-    assert rows[1].dichotomy == "clean"
-    assert rows[0].n_unique == 2 and rows[0].total == 2
-    assert rows[1].r_bar == 0.0 and rows[1].entropy == 0.0
+    rep = score_plds(profs, m)
+    assert rep.plds == ["alpha.org", "zeta.org"]
+    assert _row(rep, 0)[1] == "malicious"
+    assert _row(rep, 1)[1] == "clean"
+    assert rep.n_unique[0] == 2 and rep.total[0] == 2
+    assert rep.r_bar[1] == 0.0 and rep.entropy[1] == 0.0
 
 
 def test_planted_labels_recovered_exactly():
@@ -252,9 +266,10 @@ def test_planted_labels_recovered_exactly():
             files[h] = int(rng.integers(1, 4))
         profs.append(PldFileProfile(pld, files))
         truth[pld] = "malicious" if bad else "clean"
-    rows = score_plds(profs, VerdictMatrix(d=d, masks=masks), tau=0.0)
-    assert {r.pld: r.dichotomy for r in rows} == truth
-    frac = sum(r.dichotomy == "malicious" for r in rows) / len(rows)
+    rep = score_plds(profs, VerdictMatrix(d=d, masks=masks), tau=0.0)
+    assert dict(zip(rep.plds,
+                    np.where(rep.malicious, "malicious", "clean").tolist())) == truth
+    frac = int(rep.malicious.sum()) / len(rep.plds)
     assert frac == 0.05
 
 
@@ -270,15 +285,16 @@ def test_malicious_file_sets_drops_clean_plds():
 # score_plds against the scalar definitions, bit for bit
 
 def _assert_rows_are_the_scalar_scores(profs, m, tau=0.0):
-    rows = score_plds(profs, m, tau=tau)
-    assert [r.pld for r in rows] == sorted(p.pld for p in profs)
-    for row, prof in zip(rows, sorted(profs, key=lambda p: p.pld)):
+    rep = score_plds(profs, m, tau=tau)
+    assert rep.plds == sorted(p.pld for p in profs)
+    for i, prof in enumerate(sorted(profs, key=lambda p: p.pld)):
+        row = _row(rep, i)
         want = (prof.pld, pld_dichotomy(prof, m, tau), pld_ratio_score(prof, m),
                 prof.n_unique, prof.total, file_diversity_entropy(prof))
         assert row == want
         # == does not tell 0.0 from -0.0; repr does
-        assert repr(row.r_bar) == repr(want[2])
-        assert repr(row.entropy) == repr(want[5])
+        assert repr(row[2]) == repr(want[2])
+        assert repr(row[5]) == repr(want[5])
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.1])
@@ -289,8 +305,8 @@ def test_score_plds_is_the_scalar_scores_on_a_planted_corpus(tau):
 
 
 def test_score_plds_single_file_entropy_is_positive_zero():
-    rows = score_plds([profile("x.com", a=5)], matrix(8, a=0x3))
-    assert math.copysign(1.0, rows[0].entropy) == 1.0
+    rep = score_plds([profile("x.com", a=5)], matrix(8, a=0x3))
+    assert math.copysign(1.0, rep.entropy[0]) == 1.0
     _assert_rows_are_the_scalar_scores([profile("x.com", a=5)], matrix(8, a=0x3))
 
 
@@ -306,7 +322,8 @@ def test_score_plds_accumulates_repeated_rows(tmp_path):
     path.write_text("x.com\tb\t2\nx.com\ta\t1\nx.com\tb\t5\ny.com\ta\t3\n")
     m = matrix(4, a=0x1, b=0x7)
     got = score_plds(read_observations(str(path)), m)
-    assert got == score_plds([profile("x.com", a=1, b=7), profile("y.com", a=3)], m)
+    assert _columns(got) == _columns(
+        score_plds([profile("x.com", a=1, b=7), profile("y.com", a=3)], m))
     _assert_rows_are_the_scalar_scores(
         [profile("x.com", a=1, b=7), profile("y.com", a=3)], m)
 
@@ -319,7 +336,7 @@ def test_score_plds_with_80_engines(tmp_path):
     write_verdicts(m, path)
     back = read_verdicts(path)
     assert back.d == 80 and dict(back.masks) == dict(m.masks)
-    assert score_plds(profs, back) == score_plds(profs, m)
+    assert _columns(score_plds(profs, back)) == _columns(score_plds(profs, m))
 
 
 def test_score_plds_names_the_file_with_no_verdict():
@@ -416,8 +433,43 @@ def test_observations_bad_count_rejected(tmp_path):
 
 def test_reputation_roundtrip(tmp_path):
     m = matrix(8, a=0x3, b=0x0)
-    rows = score_plds([profile("x.com", a=1, b=3)], m)
+    rep = score_plds([profile("x.com", a=1, b=3)], m)
     path = str(tmp_path / "rep.tsv")
-    write_reputation(rows, path)
+    write_reputation(rep, path)
     back = read_reputation(path)
-    assert back == rows
+    assert _columns(back) == _columns(rep)
+
+
+def _new_tracked_objects(fn, *args):
+    """fn(*args) and how many more objects the garbage collector tracks
+    after the call than before it, with collection switched off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = fn(*args)
+        return result, len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_reputation_table_is_not_an_object_per_pld(tmp_path):
+    c = plant_crawl(default_spec(3, n_plds=2000))
+    rep, scored = _new_tracked_objects(score_plds, c.profiles, c.verdicts)
+    assert scored < 50
+    path = str(tmp_path / "rep.tsv")
+    write_reputation(rep, path)
+    back, read = _new_tracked_objects(read_reputation, path)
+    assert read < 50
+    assert len(rep.plds) == 2000 and _columns(back) == _columns(rep)
+
+
+def test_reputation_bad_dichotomy_names_its_line(tmp_path):
+    path = tmp_path / "rep.tsv"
+    path.write_text("\t".join(REPUTATION_HEADER) + "\n"
+                    "a.com\tclean\t0.0\t1\t1\t0.0\n\n"
+                    "b.com\tevil\t0.5\t1\t2\t0.0\n")
+    with pytest.raises(InputError) as exc:
+        read_reputation(str(path))
+    assert str(exc.value) == f"{path}:4: bad dichotomy 'evil'"

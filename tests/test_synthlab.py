@@ -172,8 +172,8 @@ def test_planted_indegree_exact_up_to_self_loop(corpus):
 
 
 def test_dichotomy_roundtrips_labels(corpus):
-    reps = score_plds(corpus.profiles, corpus.verdicts, tau=0.0)
-    got = {r.pld: r.dichotomy for r in reps}
+    rep = score_plds(corpus.profiles, corpus.verdicts, tau=0.0)
+    got = dict(zip(rep.plds, np.where(rep.malicious, "malicious", "clean").tolist()))
     assert got == corpus.labels
 
 
@@ -316,9 +316,10 @@ def test_corpus_files_parse_back(tmp_path):
     assert g.n_nodes == 120
     profiles = read_observations(paths["observations"])
     verdicts = read_verdicts(paths["verdicts"])
-    reps = score_plds(profiles, verdicts, tau=0.0)
+    rep = score_plds(profiles, verdicts, tau=0.0)
     labels = dict(zip(*read_table(paths["labels"], None, (str, str))))
-    assert {r.pld: r.dichotomy for r in reps} == labels
+    assert dict(zip(rep.plds,
+                    np.where(rep.malicious, "malicious", "clean").tolist())) == labels
     truth = json.loads(open(paths["truth"]).read())
     assert truth["n_malicious"] == spec.n_malicious
     assert read_spec(paths["spec"]) == spec

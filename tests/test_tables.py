@@ -128,7 +128,7 @@ def test_empty_tables_keep_their_results(tmp_path):
         warnings.simplefilter("error")
         assert read_metrics(table("m.tsv", "\t".join(METRICS_HEADER) + "\n")).plds == []
         assert read_observations(table("o.tsv", "")).sets == {}
-        assert read_reputation(table("r.tsv", "\t".join(REPUTATION_HEADER) + "\n")) == []
+        assert read_reputation(table("r.tsv", "\t".join(REPUTATION_HEADER) + "\n")).plds == []
         assert read_dga_scores(table("d.tsv", "\t".join(DGA_HEADER) + "\n")) == {}
         assert read_alexa(table("a.tsv", "\n")) == {}
         with pytest.raises(InputError, match="no verdict rows"):
