@@ -1,9 +1,10 @@
 """Command-line entry points.
 
-One subcommand per pipeline stage, each a call of the stage function in
-`pipeline` that `run` uses too, plus `synth` (corpus generation) and `run`
-(the full staged pipeline with a manifest). Exit codes: 0 ok, 1 bad input,
-2 numerical failure, 3 bad configuration.
+One subcommand per pipeline stage, each a call of the stage body in
+`pipeline` that `run` calls too (`dga` and `fit` call the function that
+their stage's body applies to every name or every value list), plus `synth`
+(corpus generation) and `run` (the full staged pipeline with a manifest).
+Exit codes: 0 ok, 1 bad input, 2 numerical failure, 3 bad configuration.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def cmd_run(args) -> None:
 def cmd_build_graph(args) -> None:
     from .pipeline import build_graph
     g = build_graph(args.edges, args.psl, args.out_nodes, args.out_edges,
-                    strict=args.strict)
+                    strict_hosts=args.strict)
     print(f"graph: {g.n_nodes} PLDs, {g.n_edges} edges "
           f"({g.skipped_rows} rows skipped)")
 
@@ -116,18 +117,16 @@ def cmd_cooccur(args) -> None:
 def cmd_features(args) -> None:
     from .pipeline import assemble_feature_table
     fm = assemble_feature_table(args.metrics, args.reputation, args.dga,
-                                args.out, alexa=args.alexa,
-                                feature_set=args.feature_set)
+                                args.alexa, args.out, feature_set=args.feature_set)
     print(f"{len(fm.plds)} rows x {len(fm.feature_names)} features -> {args.out}")
 
 
 def cmd_train(args) -> None:
     from .pipeline import train_classifiers
-    from .tables import write_json
-    res, payload = train_classifiers(
+    res = train_classifiers(
         args.features, args.nodes, args.edges, args.out_model, args.out_stacked,
-        seed=args.seed, l2=args.l2, threshold=args.threshold, epochs=args.epochs)
-    write_json(payload, args.out_eval)
+        args.out_eval, split_seed=args.seed, l2=args.l2, threshold=args.threshold,
+        epochs=args.epochs)
     print(f"AUC base {res.base_report.auc:.4f}, "
           f"stacked {res.stacked_report.auc:.4f} -> {args.out_eval}")
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError
 from .graph import PldGraph, weak_components
-from .tables import read_table, where, write_table
+from .tables import read_table, reject_duplicate_rows, write_table
 
 log = logging.getLogger(__name__)
 
@@ -215,12 +214,7 @@ def write_metrics(m: NodeMetrics, path: str) -> None:
 def read_metrics(path: str) -> NodeMetrics:
     plds, indeg, outdeg, total, pr, hub, auth, tri, pages = read_table(
         path, METRICS_HEADER, (str, int, int, int, float, float, float, int, int))
-    seen: set[str] = set()
-    for i, pld in enumerate(plds):
-        if pld in seen:
-            raise InputError(f"{where(path, METRICS_HEADER, i)}: duplicate row "
-                             f"for {pld!r}")
-        seen.add(pld)
+    reject_duplicate_rows(path, METRICS_HEADER, plds)
     return NodeMetrics(plds=plds, indegree=indeg, outdegree=outdeg,
                        total_degree=total, pagerank=pr, hub=hub, authority=auth,
                        triangles=tri, num_pages=pages)

@@ -1,14 +1,19 @@
 """Staged analysis pipeline with content-hash resumability.
 
-Each stage reads files, writes files into the run directory, and records a
-manifest entry holding the sha256 of every input file it read, the values of
-its own configuration keys, and the sha256 of every output it wrote. A stage
-is skipped when all three still match, so a rerun with nothing changed
-touches nothing. A configuration change reruns the stages that read the
-changed key; a stage downstream of them reruns only when the bytes of its
-inputs changed (an early cutoff: a new detection threshold that flips no
-label rewrites reputation.tsv with the same bytes, and nothing after it
-reruns).
+`STAGES` declares each stage once: the files it reads (`RunConfig` path
+fields or earlier stages' outputs), the files it writes into the run
+directory, and the `RunConfig` keys that shape them. `run_pipeline` hands
+the stage body exactly those, as run(*inputs, *outputs, **config), and a
+single-stage subcommand calls the same body, so both write the same bytes.
+
+Each stage records a manifest entry holding the sha256 of every input file it
+read, the values of its own configuration keys, and the sha256 of every output
+it wrote. A stage is skipped when all three still match, so a rerun with
+nothing changed touches nothing. A configuration change reruns the stages
+that read the changed key; a stage downstream of them reruns only when the
+bytes of its inputs changed (an early cutoff: a new detection threshold that
+flips no label rewrites reputation.tsv with the same bytes, and nothing after
+it reruns).
 
 Reports carry no timestamps and all JSON is emitted with sorted keys, so two
 runs from identical inputs and configuration are byte-identical, whether
@@ -120,14 +125,6 @@ class RunConfig:
         return cls.from_dict(d)
 
 
-def _config_slice(cfg: RunConfig, keys) -> dict:
-    out = {}
-    for k in keys:
-        v = getattr(cfg, k)
-        out[k] = list(v) if isinstance(v, tuple) else v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # manifest helpers
 
@@ -141,11 +138,18 @@ def file_sha256(path: str) -> str:
 
 @dataclass
 class Stage:
+    """The only declaration of a stage: run_pipeline calls
+    run(*inputs, *outputs, **{key: cfg.key for key in config_keys})."""
     name: str
-    config_keys: tuple[str, ...]                      # fields that shape outputs
-    inputs: Callable[[RunConfig, dict], list[str]]   # absolute paths
-    outputs: tuple[str, ...]                          # names inside out_dir
-    run: Callable[[RunConfig, dict], None]
+    inputs: tuple[str, ...]        # RunConfig path fields or earlier outputs
+    outputs: tuple[str, ...]       # names inside out_dir
+    config_keys: tuple[str, ...]   # RunConfig fields, passed by keyword
+    run: Callable[..., object]
+
+
+# config keys passed to a stage body but not recorded in its manifest entry:
+# the worker count decides how fast the fits run, never a byte they write
+UNRECORDED_KEYS = frozenset({"workers"})
 
 
 @dataclass
@@ -157,12 +161,12 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# stage bodies: `webmal run` reaches them through the (cfg, paths) adapters
-# below, each single-stage subcommand calls them directly
+# stage bodies: `webmal run` calls them as STAGES declares, each
+# single-stage subcommand calls them directly
 
 def build_graph(edges: str, psl: str, nodes_out: str, edges_out: str, *,
-                strict: bool = False) -> PldGraph:
-    g = build_from_file(edges, load_psl(psl), strict=strict)
+                strict_hosts: bool = False) -> PldGraph:
+    g = build_from_file(edges, load_psl(psl), strict=strict_hosts)
     write_graph(g, nodes_out, edges_out)
     return g
 
@@ -186,6 +190,11 @@ def score_names(names: list[str], out: str, *,
                 table: FreqTable | None = None) -> None:
     table = load_default_table() if table is None else table
     write_dga_scores(((name, score_pld_name(name, table)) for name in names), out)
+
+
+def score_node_names(nodes: str, out: str) -> None:
+    """dga.tsv for every PLD of a graph nodes table."""
+    score_names(read_table(nodes, NODE_HEADER, (str, int, int))[0], out)
 
 
 def _histogram(data: np.ndarray) -> dict:
@@ -216,70 +225,6 @@ def fit_values(data: np.ndarray, **params) -> dict:
     }
 
 
-def build_cooccur(verdicts: str, observations: str, edges_out: str,
-                  sets_out: str, *, tau: float) -> CooccurrenceGraph:
-    """Co-occurrence graph of the malicious PLDs; empty files if there are none."""
-    verdict_matrix = read_verdicts(verdicts)
-    sets = malicious_file_sets(read_observations(observations), verdict_matrix,
-                               tau=tau)
-    g = build_cooccurrence(sets)
-    write_cooccurrence(g, edges_out, sets_out)
-    return g
-
-
-def assemble_feature_table(metrics: str, reputation: str, dga: str, out: str, *,
-                           alexa: str | None,
-                           feature_set: str) -> FeatureMatrix:
-    fm = assemble_features(read_metrics(metrics), read_reputation(reputation),
-                           read_dga_scores(dga),
-                           read_alexa(alexa) if alexa else {}, feature_set)
-    write_features(fm, out)
-    return fm
-
-
-def train_classifiers(features: str, nodes: str, edges: str, model_out: str,
-                      stacked_out: str, *, seed: int, l2: float,
-                      threshold: float, epochs: int) -> tuple[ExperimentResult, dict]:
-    """Write both models; return the experiment and its eval.json payload."""
-    fm = read_features(features)
-    res = run_stacked_experiment(fm, read_graph(nodes, edges), seed=seed, l2=l2,
-                                 threshold=threshold, epochs=epochs)
-    write_model(res.base_model, model_out)
-    write_model(res.stacked_model, stacked_out)
-    return res, {
-        "base": res.base_report.to_dict(),
-        "stacked": res.stacked_report.to_dict(),
-        "importance_base": [[n, w] for n, w in feature_importance(res.base_model)],
-        "importance_stacked": [[n, w] for n, w in
-                               feature_importance(res.stacked_model)],
-    }
-
-
-# ---------------------------------------------------------------------------
-# (cfg, paths) adapters; `paths` maps output names -> absolute paths
-
-def _stage_build_graph(cfg: RunConfig, paths: dict) -> None:
-    build_graph(cfg.edges, cfg.psl, paths["graph_nodes.tsv"],
-                paths["graph_edges.tsv"], strict=cfg.strict_hosts)
-
-
-def _stage_metrics(cfg: RunConfig, paths: dict) -> None:
-    node_metrics(paths["graph_nodes.tsv"], paths["graph_edges.tsv"],
-                 paths["metrics.tsv"], damping=cfg.damping,
-                 pagerank_max_iter=cfg.pagerank_max_iter,
-                 hits_max_iter=cfg.hits_max_iter)
-
-
-def _stage_reputation(cfg: RunConfig, paths: dict) -> None:
-    score_reputation(cfg.verdicts, cfg.observations, paths["reputation.tsv"],
-                     tau=cfg.tau)
-
-
-def _stage_dga(cfg: RunConfig, paths: dict) -> None:
-    plds = read_table(paths["graph_nodes.tsv"], NODE_HEADER, (str, int, int))[0]
-    score_names(plds, paths["dga.tsv"])
-
-
 def _subsample_sorted(values: np.ndarray, cap: int) -> np.ndarray:
     xs = np.sort(values)
     if len(xs) <= cap:
@@ -298,90 +243,106 @@ def _fit_unit(args: tuple) -> tuple[str, str, dict]:
     return feature, population, out
 
 
-def _stage_fits(cfg: RunConfig, paths: dict) -> None:
-    metrics = read_metrics(paths["metrics.tsv"])
-    rep = read_reputation(paths["reputation.tsv"])
-    rows = rep.rows(metrics.plds)
+def fit_populations(metrics: str, reputation: str, out: str, *,
+                    fit_features: tuple[str, ...], fit_max_n: int,
+                    fit_restarts: int, workers: int) -> None:
+    """fits.json: each feature fitted over all PLDs, the clean ones and the
+    malicious ones, each on at most fit_max_n quantile points."""
+    m = read_metrics(metrics)
+    rep = read_reputation(reputation)
+    rows = rep.rows(m.plds)
     # a PLD with no reputation row is in neither population
     clean, malicious = rows >= 0, np.zeros(len(rows), dtype=bool)
     malicious[clean] = rep.malicious[rows[clean]]
     clean &= ~malicious
     units = []
-    for feature in cfg.fit_features:
-        vals = metric_column(metrics, feature)
+    for feature in fit_features:
+        vals = metric_column(m, feature)
         series = {"all": vals, "clean": vals[clean], "malicious": vals[malicious]}
         for population, pop_vals in series.items():
-            data = _subsample_sorted(pop_vals, cfg.fit_max_n)
-            units.append((feature, population, data, cfg.fit_restarts))
-    if cfg.workers > 1 and len(units) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            data = _subsample_sorted(pop_vals, fit_max_n)
+            units.append((feature, population, data, fit_restarts))
+    if workers > 1 and len(units) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fit_unit, units))
     else:
         results = [_fit_unit(u) for u in units]
     report: dict = {"features": {}}
     for feature, population, payload in results:
         report["features"].setdefault(feature, {})[population] = payload
-    write_json(report, paths["fits.json"])
+    write_json(report, out)
 
 
-def _stage_cooccur(cfg: RunConfig, paths: dict) -> None:
-    build_cooccur(cfg.verdicts, cfg.observations, paths["cooccur_edges.tsv"],
-                  paths["cooccur_sets.tsv"], tau=cfg.tau)
+def build_cooccur(verdicts: str, observations: str, edges_out: str,
+                  sets_out: str, *, tau: float) -> CooccurrenceGraph:
+    """Co-occurrence graph of the malicious PLDs; empty files if there are none."""
+    verdict_matrix = read_verdicts(verdicts)
+    sets = malicious_file_sets(read_observations(observations), verdict_matrix,
+                               tau=tau)
+    g = build_cooccurrence(sets)
+    write_cooccurrence(g, edges_out, sets_out)
+    return g
 
 
-def _stage_mdn(cfg: RunConfig, paths: dict) -> None:
-    g = read_cooccurrence(paths["cooccur_sets.tsv"])
-    write_json({"components": mdn_components(g)}, paths["mdns.json"])
+def find_mdns(sets: str, out: str) -> None:
+    """mdns.json: {"components": ...} of a co-occurrence sets table."""
+    write_json({"components": mdn_components(read_cooccurrence(sets))}, out)
 
 
-def _stage_features(cfg: RunConfig, paths: dict) -> None:
-    assemble_feature_table(paths["metrics.tsv"], paths["reputation.tsv"],
-                           paths["dga.tsv"], paths["features.tsv"],
-                           alexa=cfg.alexa, feature_set=cfg.feature_set)
+def assemble_feature_table(metrics: str, reputation: str, dga: str,
+                           alexa: str | None, out: str, *,
+                           feature_set: str) -> FeatureMatrix:
+    fm = assemble_features(read_metrics(metrics), read_reputation(reputation),
+                           read_dga_scores(dga),
+                           read_alexa(alexa) if alexa else {}, feature_set)
+    write_features(fm, out)
+    return fm
 
 
-def _stage_train(cfg: RunConfig, paths: dict) -> None:
-    res, payload = train_classifiers(
-        paths["features.tsv"], paths["graph_nodes.tsv"], paths["graph_edges.tsv"],
-        paths["model.json"], paths["model_stacked.json"], seed=cfg.split_seed,
-        l2=cfg.l2, threshold=cfg.threshold, epochs=cfg.epochs)
-    payload.update(feature_set=cfg.feature_set,
-                   split={"train": len(res.plan.train), "test": len(res.plan.test),
-                          "validation": len(res.plan.validation),
-                          "seed": cfg.split_seed})
-    write_json(payload, paths["eval.json"])
+def train_classifiers(features: str, nodes: str, edges: str, model_out: str,
+                      stacked_out: str, eval_out: str, *, split_seed: int,
+                      threshold: float, l2: float,
+                      epochs: int) -> ExperimentResult:
+    """Write both models and eval.json. Its feature_set is the set whose
+    columns the table holds, or null for a table that matches none."""
+    fm = read_features(features)
+    res = run_stacked_experiment(fm, read_graph(nodes, edges), seed=split_seed,
+                                 l2=l2, threshold=threshold, epochs=epochs)
+    write_model(res.base_model, model_out)
+    write_model(res.stacked_model, stacked_out)
+    write_json({
+        "base": res.base_report.to_dict(),
+        "stacked": res.stacked_report.to_dict(),
+        "importance_base": [[n, w] for n, w in feature_importance(res.base_model)],
+        "importance_stacked": [[n, w] for n, w in
+                               feature_importance(res.stacked_model)],
+        "feature_set": next((name for name, cols in FEATURE_SETS.items()
+                             if cols == fm.feature_names), None),
+        "split": {"train": len(res.plan.train), "test": len(res.plan.test),
+                  "validation": len(res.plan.validation), "seed": split_seed},
+    }, eval_out)
+    return res
 
 
 STAGES: tuple[Stage, ...] = (
-    Stage("build-graph", ("strict_hosts",),
-          lambda cfg, p: [cfg.edges, cfg.psl],
-          ("graph_nodes.tsv", "graph_edges.tsv"), _stage_build_graph),
-    Stage("metrics", ("damping", "pagerank_max_iter", "hits_max_iter"),
-          lambda cfg, p: [p["graph_nodes.tsv"], p["graph_edges.tsv"]],
-          ("metrics.tsv",), _stage_metrics),
-    Stage("reputation", ("tau",),
-          lambda cfg, p: [cfg.verdicts, cfg.observations],
-          ("reputation.tsv",), _stage_reputation),
-    Stage("dga", (),
-          lambda cfg, p: [p["graph_nodes.tsv"]],
-          ("dga.tsv",), _stage_dga),
-    Stage("fits", ("fit_features", "fit_max_n", "fit_restarts"),
-          lambda cfg, p: [p["metrics.tsv"], p["reputation.tsv"]],
-          ("fits.json",), _stage_fits),
-    Stage("cooccur", ("tau",),
-          lambda cfg, p: [cfg.verdicts, cfg.observations],
-          ("cooccur_edges.tsv", "cooccur_sets.tsv"), _stage_cooccur),
-    Stage("mdn", (),
-          lambda cfg, p: [p["cooccur_sets.tsv"]],
-          ("mdns.json",), _stage_mdn),
-    Stage("features", ("feature_set",),
-          lambda cfg, p: ([p["metrics.tsv"], p["reputation.tsv"], p["dga.tsv"]]
-                          + ([cfg.alexa] if cfg.alexa else [])),
-          ("features.tsv",), _stage_features),
-    Stage("train", ("split_seed", "threshold", "l2", "epochs", "feature_set"),
-          lambda cfg, p: [p["features.tsv"], p["graph_nodes.tsv"],
-                          p["graph_edges.tsv"]],
-          ("model.json", "model_stacked.json", "eval.json"), _stage_train),
+    Stage("build-graph", ("edges", "psl"), ("graph_nodes.tsv", "graph_edges.tsv"),
+          ("strict_hosts",), build_graph),
+    Stage("metrics", ("graph_nodes.tsv", "graph_edges.tsv"), ("metrics.tsv",),
+          ("damping", "pagerank_max_iter", "hits_max_iter"), node_metrics),
+    Stage("reputation", ("verdicts", "observations"), ("reputation.tsv",),
+          ("tau",), score_reputation),
+    Stage("dga", ("graph_nodes.tsv",), ("dga.tsv",), (), score_node_names),
+    Stage("fits", ("metrics.tsv", "reputation.tsv"), ("fits.json",),
+          ("fit_features", "fit_max_n", "fit_restarts", "workers"),
+          fit_populations),
+    Stage("cooccur", ("verdicts", "observations"),
+          ("cooccur_edges.tsv", "cooccur_sets.tsv"), ("tau",), build_cooccur),
+    Stage("mdn", ("cooccur_sets.tsv",), ("mdns.json",), (), find_mdns),
+    Stage("features", ("metrics.tsv", "reputation.tsv", "dga.tsv", "alexa"),
+          ("features.tsv",), ("feature_set",), assemble_feature_table),
+    Stage("train", ("features.tsv", "graph_nodes.tsv", "graph_edges.tsv"),
+          ("model.json", "model_stacked.json", "eval.json"),
+          ("split_seed", "threshold", "l2", "epochs"), train_classifiers),
 )
 
 
@@ -413,10 +374,14 @@ def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> Ru
     executed: list[str] = []
     skipped: list[str] = []
     for stage in STAGES:
-        input_paths = stage.inputs(cfg, paths)
+        inputs = [paths[n] if n in paths else getattr(cfg, n) for n in stage.inputs]
+        outputs = [paths[n] for n in stage.outputs]
+        config = {k: getattr(cfg, k) for k in stage.config_keys}
+        # a None input (no alexa table) is passed to the body but not hashed
         in_hashes = {f"{i}:{os.path.basename(p)}": sha(p)
-                     for i, p in enumerate(input_paths)}
-        stage_cfg = _config_slice(cfg, stage.config_keys)
+                     for i, p in enumerate(filter(None, inputs))}
+        stage_cfg = {k: list(v) if isinstance(v, tuple) else v
+                     for k, v in config.items() if k not in UNRECORDED_KEYS}
         entry = manifest["stages"].get(stage.name)
         up_to_date = (
             isinstance(entry, dict)
@@ -432,7 +397,7 @@ def run_pipeline(cfg: RunConfig, log: Callable[[str], None] | None = None) -> Ru
                 log(f"stage {stage.name}: skipped (up to date)")
             continue
         try:
-            stage.run(cfg, paths)
+            stage.run(*inputs, *outputs, **config)
         except WebmalError as exc:
             manifest["stages"][stage.name] = {"status": "failed",
                                               "inputs": in_hashes,

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (EmptyProfile, EmptyVector, InputError, InvalidParams,
                      MissingVerdict)
 from .mdn import FileSets
-from .tables import read_table, where, write_table
+from .tables import read_table, reject_duplicate_rows, where, write_table
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +198,9 @@ def _ratios(sets: FileSets, verdicts: VerdictMatrix) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Reputation:
-    """The scores of every PLD, one position per PLD: `plds` are sorted when
-    score_plds made the table, and in file order when read_reputation read
-    it."""
+    """The scores of every PLD, one position per PLD and no name twice:
+    `plds` are sorted when score_plds made the table, and in file order when
+    read_reputation read it."""
 
     plds: list[str]
     malicious: np.ndarray       # bool: the dichotomy
@@ -210,8 +210,7 @@ class Reputation:
     entropy: np.ndarray         # float64, H
 
     def rows(self, plds: Sequence[str]) -> np.ndarray:
-        """Each name's row, or -1 where the name has no row; a name listed
-        twice is its last row."""
+        """Each name's row, or -1 where the name has no row."""
         index = dict(zip(self.plds, range(len(self.plds))))
         return np.fromiter(map(index.get, plds, repeat(-1)), np.int64, len(plds))
 
@@ -341,4 +340,5 @@ def read_reputation(path: str) -> Reputation:
         i = next(i for i, label in enumerate(dichotomy) if label not in _DICHOTOMY)
         raise InputError(f"{where(path, REPUTATION_HEADER, i)}: bad dichotomy "
                          f"{dichotomy[i]!r}") from None
+    reject_duplicate_rows(path, REPUTATION_HEADER, plds)
     return Reputation(plds, malicious, r_bar, n_unique, total, entropy)

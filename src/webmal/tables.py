@@ -253,6 +253,17 @@ def where(path: str, header: tuple[str, ...] | None, row: int) -> str:
     raise IndexError(row)
 
 
+def reject_duplicate_rows(path: str, header: tuple[str, ...] | None,
+                          keys: list[str]) -> None:
+    """A line-numbered InputError at the first row whose key an earlier row
+    of the table already has."""
+    seen: set[str] = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            raise InputError(f"{where(path, header, i)}: duplicate row for {key!r}")
+        seen.add(key)
+
+
 def _check_header(path: str, line: str, header: tuple[str, ...]) -> None:
     expected = "\t".join(header)
     if line != expected:

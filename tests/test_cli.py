@@ -136,10 +136,8 @@ def test_stage_commands_match_run(tmp_path, corpus):
     mdns = json.loads((run_dir / "mdns.json").read_text())
     assert mdns["components"]
     assert json.loads(open(cli["mdn_list.json"]).read()) == mdns["components"]
-    run_eval = json.loads((run_dir / "eval.json").read_text())
-    for key in ("feature_set", "split"):
-        del run_eval[key]
-    assert json.loads(open(cli["eval.json"]).read()) == run_eval
+    assert json.loads(open(cli["eval.json"]).read()) == \
+        json.loads((run_dir / "eval.json").read_text())
 
     with open(cli["metrics.tsv"]) as fh:
         pages = fh.readline().rstrip("\n").split("\t").index("pages")

@@ -1,18 +1,22 @@
 """Staged pipeline: manifest skipping, early cutoff, determinism."""
 
+import inspect
 import json
 import os
 import sys
+from dataclasses import fields
 
 import pytest
 
 from webmal.errors import ConfigError, InputError
-from webmal.pipeline import (STAGES, RunConfig, emit_tsv_reports, file_sha256,
-                             run_pipeline)
+from webmal.pipeline import (STAGES, UNRECORDED_KEYS, RunConfig,
+                             emit_tsv_reports, file_sha256, run_pipeline)
 from webmal.synthlab import default_spec, plant_crawl, write_corpus
 
 STAGE_NAMES = ("build-graph", "metrics", "reputation", "dga", "fits",
                "cooccur", "mdn", "features", "train")
+# the RunConfig fields that name input files
+PATH_FIELDS = ("edges", "psl", "verdicts", "observations", "alexa")
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +66,8 @@ def test_full_run_writes_nine_stages(tmp_path, corpus_dir):
         entry = res.manifest["stages"][stage.name]
         assert entry["status"] == "done"
         assert entry["outputs"]
-        assert sorted(entry["config"]) == sorted(stage.config_keys)
+        assert sorted(entry["config"]) == sorted(set(stage.config_keys)
+                                                 - UNRECORDED_KEYS)
 
 
 def test_rerun_skips_everything(tmp_path, corpus_dir):
@@ -100,7 +105,7 @@ def test_interrupt_keeps_finished_stages(tmp_path, corpus_dir, monkeypatch):
 
     from webmal import pipeline
 
-    def interrupt(cfg, paths):
+    def interrupt(nodes, out):
         raise KeyboardInterrupt
 
     cfg = make_config(corpus_dir, str(tmp_path / "run"))
@@ -131,8 +136,8 @@ def test_interrupted_write_keeps_finished_stages(tmp_path, corpus_dir, monkeypat
         yield from [1.0] * 10_000     # more than one block reaches the temp file
         raise KeyboardInterrupt
 
-    def interrupt(cfg, paths):
-        write_table(paths["dga.tsv"], DGA_HEADER,
+    def interrupt(nodes, out):
+        write_table(out, DGA_HEADER,
                     (["a.com"] * 20_000, scores(), ["likely_dga"] * 20_000))
 
     cfg = make_config(corpus_dir, str(tmp_path / "run"))
@@ -197,23 +202,15 @@ def test_resumed_run_is_byte_identical_to_cold_run(tmp_path, corpus_dir, change)
     assert dir_bytes(resumed) == dir_bytes(cold)
 
 
-class _RecordingConfig:
-    def __init__(self, cfg):
-        self._cfg, self.read = cfg, set()
-
-    def __getattr__(self, name):
-        self.read.add(name)
-        return getattr(self._cfg, name)
-
-
-class _RecordingPaths(dict):
-    def __init__(self, paths):
-        super().__init__(paths)
-        self.read = set()
-
-    def __getitem__(self, name):
-        self.read.add(name)
-        return super().__getitem__(name)
+def test_each_stage_declaration_matches_its_body():
+    config_fields = {f.name for f in fields(RunConfig)}
+    earlier: set[str] = set()
+    for stage in STAGES:
+        assert set(stage.inputs) <= set(PATH_FIELDS) | earlier, stage.name
+        assert set(stage.config_keys) <= config_fields, stage.name
+        inspect.signature(stage.run).bind(
+            *stage.inputs, *stage.outputs, **dict.fromkeys(stage.config_keys))
+        earlier |= set(stage.outputs)
 
 
 # an audit hook cannot be removed, so it is installed once and records only
@@ -235,27 +232,22 @@ def test_each_stage_reads_only_what_it_declares(tmp_path, corpus_dir):
     run_pipeline(cfg)
     paths = {name: os.path.join(cfg.out_dir, name)
              for stage in STAGES for name in stage.outputs}
-    path_fields = ("edges", "psl", "verdicts", "observations", "alexa")
     for stage in STAGES:
-        inputs = stage.inputs(cfg, paths)
+        # the arguments run_pipeline passes the stage's body
+        inputs = [paths[n] if n in paths else getattr(cfg, n) for n in stage.inputs]
         declared = inputs + [paths[name] for name in stage.outputs]
-        rec_cfg, rec_paths = _RecordingConfig(cfg), _RecordingPaths(paths)
         _opened = []
         try:
-            stage.run(rec_cfg, rec_paths)
+            stage.run(*declared, **{k: getattr(cfg, k) for k in stage.config_keys})
         finally:
             opened, _opened = _opened, None
-        input_fields = {f for f in path_fields if getattr(cfg, f) in inputs}
-        assert rec_cfg.read <= set(stage.config_keys) | input_fields | {"workers"}, \
-            stage.name
-        assert rec_paths.read <= {os.path.basename(p) for p in declared}, stage.name
         roots = (os.path.realpath(str(tmp_path)), os.path.realpath(corpus_dir))
         # an output is written to "<output>.tmp" and renamed onto the output
         outputs = {os.path.realpath(paths[name]) for name in stage.outputs}
         opened = [p.removesuffix(".tmp") if p.removesuffix(".tmp") in outputs else p
                   for p in opened]
         assert {p for p in opened if p.startswith(roots)} <= {
-            os.path.realpath(p) for p in declared}, stage.name
+            os.path.realpath(p) for p in declared if p is not None}, stage.name
 
 
 def test_input_change_reruns_graph_chain(tmp_path, corpus_dir):
@@ -337,9 +329,9 @@ def test_config_from_json_with_overrides(tmp_path, corpus_dir):
 
 
 def test_fits_leave_a_pld_with_no_reputation_row_out_of_both_populations(
-        tmp_path, corpus_dir):
+        tmp_path):
     from webmal.metrics import METRICS_HEADER
-    from webmal.pipeline import _stage_fits
+    from webmal.pipeline import fit_populations
     from webmal.reputation import REPUTATION_HEADER
     paths = {name: str(tmp_path / name)
              for name in ("metrics.tsv", "reputation.tsv", "fits.json")}
@@ -352,7 +344,9 @@ def test_fits_leave_a_pld_with_no_reputation_row_out_of_both_populations(
         fh.write("\t".join(REPUTATION_HEADER) + "\n"
                  "a.com\tclean\t0.0\t1\t1\t0.0\n"
                  "c.com\tmalicious\t1.0\t1\t1\t0.0\n")
-    _stage_fits(make_config(corpus_dir, str(tmp_path)), paths)
+    fit_populations(paths["metrics.tsv"], paths["reputation.tsv"],
+                    paths["fits.json"], fit_features=("num_pages",),
+                    fit_max_n=2000, fit_restarts=2, workers=1)
     with open(paths["fits.json"]) as fh:
         units = json.load(fh)["features"]["num_pages"]
     assert {pop: unit["n"] for pop, unit in units.items()} == \

@@ -45,9 +45,8 @@ def _cli(command, **args):
     return read
 
 
-def _stage_dga(path, tmp_path):
-    pipeline._stage_dga(None, {"graph_nodes.tsv": path,
-                               "dga.tsv": str(tmp_path / "dga.tsv")})
+def _score_node_names(path, tmp_path):
+    pipeline.score_node_names(path, str(tmp_path / "dga.tsv"))
 
 
 # name -> (reader, header, valid rows, short row, bad cell row, its message)
@@ -80,7 +79,7 @@ READERS = {
               "b.com\tx", "not an integer: 'x'"),
     "labels": (lambda p, t: dict(zip(*read_table(p, None, (str, str)))), None, "a.com\tclean\n", "b.com",
                None, None),
-    "dga-stage-nodes": (_stage_dga, NODE_HEADER, "a.com\t0\t2\n", "b.com\t1",
+    "dga-stage-nodes": (_score_node_names, NODE_HEADER, "a.com\t0\t2\n", "b.com\t1",
                         "b.com\t1\tx", "not an integer: 'x'"),
     "fit-values": (_cli(cli.cmd_fit, restarts=2, families=None), None, "3\n5\n",
                    "7\t8", "abc", "not a number: 'abc'"),
@@ -135,6 +134,21 @@ def test_empty_tables_keep_their_results(tmp_path):
             read_verdicts(table("v.tsv", ""))
         with pytest.raises(EmptyInput):
             read_graph(table("n.tsv", _NODES), table("e.tsv", "\t".join(EDGE_HEADER) + "\n"))
+
+
+@pytest.mark.parametrize("read, header, first, second", [
+    (read_metrics, METRICS_HEADER, "a.com\t1\t1\t2\t0.5\t0.5\t0.5\t0\t3",
+     "a.com\t2\t2\t4\t0.5\t0.5\t0.5\t0\t3"),
+    (read_reputation, REPUTATION_HEADER, "a.com\tclean\t0.0\t1\t1\t0.0",
+     "a.com\tmalicious\t1.0\t1\t1\t0.0"),
+], ids=["metrics", "reputation"])
+def test_a_pld_listed_twice_names_the_second_line(tmp_path, read, header,
+                                                  first, second):
+    path = tmp_path / "table.tsv"
+    path.write_text("\t".join(header) + f"\n{first}\nb.com{first[5:]}\n{second}\n")
+    with pytest.raises(InputError) as err:
+        read(str(path))
+    assert str(err.value) == f"{path}:4: duplicate row for 'a.com'"
 
 
 def test_gz_by_suffix(tmp_path):
